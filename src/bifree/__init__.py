@@ -7,6 +7,7 @@ approximations.
 """
 
 from .series import (
+    NegativeOrder,
     NonzeroConstantSubstitution,
     NotInvertible,
     Series1,
@@ -64,6 +65,7 @@ __all__ = [
     "ZeroConstantTerm",
     "NotInvertible",
     "NonzeroConstantSubstitution",
+    "NegativeOrder",
     "BadNormalization",
     "normalize_moments",
     "moments_to_r",

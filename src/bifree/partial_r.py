@@ -8,14 +8,22 @@ convolution, its row and column 0 are the one-variable free cumulants of the
 marginals, and ``R[m][n]`` depends on ``phi(a^p b^q)`` only for ``p <= m``,
 ``q <= n``, with leading coefficient 1 in ``phi(a^m b^n)``.
 
-The conversion is computed through the pole-free identity
+Both directions of the conversion are one pass of the pole-free identity
 
     R(z, w) = (1 + z ra(z) + w rb(w))
               - (1 + z ra(z)) (1 + w rb(w)) / H(ka(z), kb(w))
 
 where ``H(t, s) = sum phi(a^m b^n) t^m s^n``, ``ra, rb`` are the marginal
 free cumulant series and ``ka, kb`` the inverses of ``t*ha(t)``, ``s*hb(s)``.
-Every step is an exact operation on truncated rational series.
+Forward, the moments give ``ka, kb`` by reversion and the identity gives R.
+Backward, column 0 and row 0 of R are ``z ra`` and ``w rb``, so the
+denominator ``1 + z ra + w rb - R`` is known, and solving for H gives
+
+    H(t, s) = Q(t ha(t), s hb(s)),
+    Q(z, w) = (1 + z ra(z)) (1 + w rb(w)) / (1 + z ra(z) + w rb(w) - R(z, w))
+
+with ``t ha(t)`` the reversion of ``z / (1 + z ra(z))``.  Every step is an
+exact operation on truncated rational series.
 
 Tables are immutable after construction and all functions here are pure, so
 values can be shared between threads freely.
@@ -25,8 +33,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import Series1, Series2, as_fraction
-from .transforms import BadNormalization
+from .series import Series1, Series2, as_fraction, check_orders
+from .transforms import BadNormalization, _tower_revert
 
 __all__ = [
     "TwoBandsTable",
@@ -91,6 +99,7 @@ class _Table:
         return f"{type(self).__name__}({[list(r) for r in self.values]!r})"
 
     def truncate(self, left_order: int, right_order: int):
+        check_orders(left_order, right_order)
         if left_order > self.left_order or right_order > self.right_order:
             raise BoxMismatch(f"cannot extend box {self.box} to {(left_order, right_order)}")
         return type(self)(
@@ -142,10 +151,12 @@ class PartialRTable(_Table):
         return self.values[0]
 
 
-def _inverse_tower(moments):
-    """(k, 1/u) for a marginal: k = revert(t*h(t)) = z*u(z), 1/u = 1 + z r(z)."""
-    k = Series1(moments).shift_up().revert()
-    return k, k.shift_down().reciprocal()
+def _frame(pa: Series1, pb: Series1, box):
+    """(pa + pb - 1, pa * pb) on the box, for pa = 1 + z ra(z), pb = 1 + w rb(w)."""
+    m, n = box
+    left = Series2.from_left(pa, n)
+    right = Series2.from_right(pb, m)
+    return left + right - 1, left * right
 
 
 def compute_partial_r(table: TwoBandsTable) -> PartialRTable:
@@ -154,36 +165,29 @@ def compute_partial_r(table: TwoBandsTable) -> PartialRTable:
     Exact on the whole input box: R[m][n] is a universal integer polynomial
     in the moments phi(a^p b^q) with p <= m, q <= n.
     """
-    ka, pa = _inverse_tower(table.a_moments())
-    kb, pb = _inverse_tower(table.b_moments())
-    m, n = table.box
-    h = Series2(table.values)
-    frac = h.substitute(ka, kb).reciprocal()
-    left = Series2.from_left(pa, n)
-    right = Series2.from_right(pb, m)
-    linear = left + right - Series2.one(m, n)
-    return PartialRTable((linear - left * right * frac).rows)
+    ka = _tower_revert(Series1(table.a_moments()))
+    kb = _tower_revert(Series1(table.b_moments()))
+    pa, pb = ka.shift_down().reciprocal(), kb.shift_down().reciprocal()
+    linear, product = _frame(pa, pb, table.box)
+    frac = Series2(table.values).substitute(ka, kb).reciprocal()
+    return PartialRTable((linear - product * frac).rows)
 
 
 def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
     """The unique moment table whose cumulant table is ``r``.
 
-    Solves compute_partial_r(result) = r degree by degree: every cumulant is
-    that bidegree's moment plus a polynomial in moments of strictly smaller
-    total degree, so each pass fixes one antidiagonal of the table.
+    One pass of the identity solved for H: with pa = 1 + z ra(z) and
+    pb = 1 + w rb(w) read off column 0 and row 0 of ``r``,
+    H = Q(t ha(t), s hb(s)) for Q = pa pb / (pa + pb - 1 - R), where
+    t ha(t) = revert(z / pa(z)) and likewise for b.
     """
-    m, n = r.box
-    vals = [[Fraction(0)] * (n + 1) for _ in range(m + 1)]
-    vals[0][0] = Fraction(1)
-    for d in range(1, m + n + 1):
-        p, q = min(m, d), min(n, d)
-        partial = compute_partial_r(
-            TwoBandsTable(tuple(row[: q + 1] for row in vals[: p + 1]))
-        )
-        for i in range(max(0, d - n), min(m, d) + 1):
-            j = d - i
-            vals[i][j] = r.values[i][j] - partial.values[i][j]
-    return TwoBandsTable(vals)
+    pa = Series1(r.a_cumulants()) + 1
+    pb = Series1(r.b_cumulants()) + 1
+    linear, product = _frame(pa, pb, r.box)
+    q = product * (linear - Series2(r.values)).reciprocal()
+    ga = _tower_revert(pa.reciprocal())
+    gb = _tower_revert(pb.reciprocal())
+    return TwoBandsTable(q.substitute(ga, gb).rows)
 
 
 def biconvolve(t1: TwoBandsTable, t2: TwoBandsTable) -> TwoBandsTable:

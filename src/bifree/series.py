@@ -20,6 +20,7 @@ __all__ = [
     "ZeroConstantTerm",
     "NotInvertible",
     "NonzeroConstantSubstitution",
+    "NegativeOrder",
     "as_fraction",
 ]
 
@@ -34,6 +35,17 @@ class NotInvertible(ArithmeticError):
 
 class NonzeroConstantSubstitution(ValueError):
     """A substituted series must vanish at the origin."""
+
+
+class NegativeOrder(ValueError):
+    """Truncation orders are nonnegative: order 0 keeps the constant term."""
+
+
+def check_orders(*orders):
+    """Raise NegativeOrder unless every truncation order is >= 0."""
+    if any(k < 0 for k in orders):
+        got = ", ".join(map(str, orders))
+        raise NegativeOrder(f"truncation orders must be >= 0, got {got}")
 
 
 def as_fraction(x) -> Fraction:
@@ -97,6 +109,7 @@ class Series1:
 
     def truncate(self, order: int) -> "Series1":
         """Drop coefficients above ``order``; refuses to invent new ones."""
+        check_orders(order)
         if order > self.order:
             raise ValueError(f"cannot extend a series of order {self.order} to {order}")
         return Series1(self.coeffs[: order + 1])
@@ -170,19 +183,19 @@ class Series1:
     def revert(self) -> "Series1":
         """Compositional inverse: g with self(g(t)) = t up to the order.
 
-        Computed by the contraction x -> (t - tail(x)) / f'(0), where tail
-        collects the terms of degree >= 2; each pass gains one exact order.
+        Lagrange inversion: phi = t / self(t) is a unit series, and the
+        coefficient of t^k in g is (1/k) [z^(k-1)] phi(z)^k.  One reciprocal
+        and order - 1 products give every coefficient, with no composition.
         """
         if self.order < 1 or self.coeffs[0] != 0 or self.coeffs[1] == 0:
             raise NotInvertible("reversion needs f(0) = 0 and f'(0) != 0")
-        n = self.order
-        inv1 = Fraction(1) / self.coeffs[1]
-        tail = Series1((Fraction(0), Fraction(0)) + self.coeffs[2:])
-        t = Series1.var(n)
-        g = t * inv1
-        for _ in range(n - 1):
-            g = (t - tail.compose(g)) * inv1
-        return g
+        phi = self.shift_down().reciprocal()
+        power = phi
+        out = [Fraction(0), phi.coeffs[0]]
+        for k in range(2, self.order + 1):
+            power = power * phi
+            out.append(power.coeffs[k - 1] / k)
+        return Series1(out)
 
 
 class Series2:
@@ -253,6 +266,7 @@ class Series2:
         return f"Series2({[list(r) for r in self.rows]!r})"
 
     def truncate(self, left_order: int, right_order: int) -> "Series2":
+        check_orders(left_order, right_order)
         if left_order > self.left_order or right_order > self.right_order:
             raise ValueError(f"cannot extend box {self.box} to {(left_order, right_order)}")
         return Series2(tuple(row[: right_order + 1] for row in self.rows[: left_order + 1]))

@@ -41,6 +41,16 @@ def normalize_moments(moments) -> tuple[Fraction, ...]:
     return m
 
 
+def _tower_revert(x: Series1) -> Series1:
+    """revert(t*x(t)) for a unit series x: one step of the tower, either way.
+
+    From the moment series h it gives k = z*u(z); from u = 1/(1 + z*r(z))
+    it gives g = t*h(t).  The two directions are the same formula because
+    g and k are compositional inverses of each other.
+    """
+    return x.shift_up().revert()
+
+
 def moments_to_r(moments) -> Series1:
     """Free cumulant series of a moment sequence.
 
@@ -50,7 +60,7 @@ def moments_to_r(moments) -> Series1:
     m = normalize_moments(moments)
     if len(m) < 2:
         raise ValueError("need at least the first moment beyond phi(1)")
-    k = Series1(m).shift_up().revert()
+    k = _tower_revert(Series1(m))
     return (k.shift_down().reciprocal() - 1).shift_down()
 
 
@@ -66,8 +76,7 @@ def r_to_moments(r: Series1, order: int) -> tuple[Fraction, ...]:
         return (Fraction(1),)
     rr = r.truncate(order - 1)
     one_plus = Series1((Fraction(1),) + rr.coeffs)
-    g = one_plus.reciprocal().shift_up().revert()
-    return g.shift_down().coeffs
+    return _tower_revert(one_plus.reciprocal()).shift_down().coeffs
 
 
 def free_convolve1(m1, m2) -> tuple[Fraction, ...]:
@@ -99,6 +108,6 @@ def subordination_series(m1, m2, order: int) -> tuple[Series1, Series1]:
     a = a[: order + 1]
     b = b[: order + 1]
     gsum = Series1(free_convolve1(a, b)).shift_up()
-    t1 = Series1(a).shift_up().revert().compose(gsum)
-    t2 = Series1(b).shift_up().revert().compose(gsum)
+    t1 = _tower_revert(Series1(a)).compose(gsum)
+    t2 = _tower_revert(Series1(b)).compose(gsum)
     return t1.truncate(order), t2.truncate(order)

@@ -33,6 +33,7 @@ from bifree.partial_r import (
 from bifree.rank1 import extract_system, mixed_moment
 from bifree.series import Series1, Series2
 from bifree.transforms import free_convolve1, subordination_series
+from helpers import random_table
 
 
 def _report(line):
@@ -42,16 +43,6 @@ def _report(line):
 def random_rep(rng, dim, lo=-2, hi=2):
     mk = lambda: [[F(rng.randint(lo, hi)) for _ in range(dim)] for _ in range(dim)]
     return TwoFacedPairRep(dim, {0: mk()}, {0: mk()})
-
-
-def random_table(rng, box, lo=-3, hi=3, denominators=(1,)):
-    m, n = box
-    vals = [
-        [F(rng.randint(lo, hi), rng.choice(denominators)) for _ in range(n + 1)]
-        for _ in range(m + 1)
-    ]
-    vals[0][0] = F(1)
-    return TwoBandsTable(vals)
 
 
 def test_criterion_1_additivity_of_partial_r():

@@ -20,16 +20,9 @@ from bifree.io import (
 from bifree.oracle import LEFT, RIGHT, shift_pair_rep
 from bifree.partial_r import PartialRTable, TwoBandsTable, compute_partial_r
 from bifree.rank1 import Rank1System, extract_system
+from helpers import random_table
 
-
-def random_table(rng, box, denominators=(1, 2, 3)):
-    m, n = box
-    vals = [
-        [F(rng.randint(-9, 9), rng.choice(denominators)) for _ in range(n + 1)]
-        for _ in range(m + 1)
-    ]
-    vals[0][0] = F(1)
-    return TwoBandsTable(vals)
+ENTRIES = dict(lo=-9, hi=9, denominators=(1, 2, 3))
 
 
 # -- rationals --
@@ -61,7 +54,7 @@ def test_word_codec():
 
 def test_two_bands_roundtrip():
     rng = random.Random(3)
-    table = random_table(rng, (3, 2))
+    table = random_table(rng, (3, 2), **ENTRIES)
     text = to_json(table)
     again = from_json(text)
     assert again == table
@@ -70,7 +63,7 @@ def test_two_bands_roundtrip():
 
 def test_partial_r_roundtrip():
     rng = random.Random(4)
-    r = compute_partial_r(random_table(rng, (3, 3)))
+    r = compute_partial_r(random_table(rng, (3, 3), **ENTRIES))
     assert from_json(to_json(r)) == r
 
 
@@ -130,13 +123,13 @@ def files(tmp_path):
     rng = random.Random(9)
     paths = {}
     paths["table"] = tmp_path / "table.json"
-    save_path(paths["table"], random_table(rng, (2, 2)))
+    save_path(paths["table"], random_table(rng, (2, 2), **ENTRIES))
     paths["product"] = tmp_path / "product.json"
     save_path(paths["product"], TwoBandsTable.product([1, 2, 5], [1, -1, 3]))
     paths["other"] = tmp_path / "other.json"
-    save_path(paths["other"], random_table(rng, (2, 2)))
+    save_path(paths["other"], random_table(rng, (2, 2), **ENTRIES))
     paths["small"] = tmp_path / "small.json"
-    save_path(paths["small"], random_table(rng, (1, 1)))
+    save_path(paths["small"], random_table(rng, (1, 1), **ENTRIES))
     paths["system"] = tmp_path / "system.json"
     save_path(paths["system"], extract_system(shift_pair_rep(4, [[1, 2], [3, 1]]), cap=4))
     return {k: str(v) for k, v in paths.items()}
@@ -183,6 +176,14 @@ def test_cumulants_box_truncation(files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["values"]) == 2 and len(doc["values"][0]) == 2
     assert main(["cumulants", files["table"], "--box", "5", "5"]) == 4
+
+
+def test_cumulants_negative_box_exits_2(files, capsys):
+    for box in (["-2", "2"], ["1", "-1"]):
+        assert main(["cumulants", files["table"], "--box", *box]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "truncation orders must be >= 0" in captured.err
 
 
 def test_cumulants_output_deterministic(files, capsys, tmp_path):

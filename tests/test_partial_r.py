@@ -16,17 +16,9 @@ from bifree.partial_r import (
     mixed_cumulants_vanish,
     partial_r_to_moments,
 )
+from bifree.series import NegativeOrder
 from bifree.transforms import BadNormalization, moments_to_r
-
-
-def random_table(rng, box, lo=-3, hi=3, denominators=(1,)):
-    m, n = box
-    vals = [
-        [F(rng.randint(lo, hi), rng.choice(denominators)) for _ in range(n + 1)]
-        for _ in range(m + 1)
-    ]
-    vals[0][0] = F(1)
-    return TwoBandsTable(vals)
+from helpers import antidiagonal_inverse, random_table
 
 
 tables33 = st.lists(
@@ -102,6 +94,17 @@ def test_inverse_trivial_cases():
     )
 
 
+@pytest.mark.parametrize("box", [(m, n) for m in range(6) for n in range(6)])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_closed_form_inverse_matches_antidiagonal_solver(box, data):
+    entries = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
+    row = st.lists(entries, min_size=box[1] + 1, max_size=box[1] + 1)
+    rows = data.draw(st.lists(row, min_size=box[0] + 1, max_size=box[0] + 1))
+    r = PartialRTable([[F(0)] + rows[0][1:], *rows[1:]])
+    assert partial_r_to_moments(r) == antidiagonal_inverse(r)
+
+
 @given(tables33)
 @settings(max_examples=50, deadline=None)
 def test_roundtrip(table):
@@ -174,6 +177,17 @@ def test_biconvolve_box_mismatch():
     t2 = TwoBandsTable.product([1, 1, 1], [1, 1])
     with pytest.raises(BoxMismatch):
         biconvolve(t1, t2)
+
+
+def test_table_truncate_rejects_negative_orders():
+    t = TwoBandsTable.product([1, 2, 5], [1, -1, 4])
+    r = compute_partial_r(t)
+    for table in (t, r):
+        for box in ((-2, 2), (2, -1), (-1, -1)):
+            with pytest.raises(NegativeOrder):
+                table.truncate(*box)
+        assert table.truncate(0, 2).box == (0, 2)
+    assert not issubclass(NegativeOrder, BoxMismatch)
 
 
 def test_additivity_of_cumulants_under_biconvolve():

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifree.series import (
+    NegativeOrder,
     NonzeroConstantSubstitution,
     NotInvertible,
     Series1,
     Series2,
     ZeroConstantTerm,
 )
+from helpers import picard_revert
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
@@ -118,6 +120,17 @@ def test_revert_requires_jet():
         Series1([0, 0, 1]).revert()
 
 
+@pytest.mark.parametrize("lead", [F(1), F(2), F(-3, 2)])
+@pytest.mark.parametrize("order", range(1, 13))
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_lagrange_revert_matches_picard(order, lead, data):
+    entries = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+    tail = data.draw(st.lists(entries, min_size=order - 1, max_size=order - 1))
+    f = Series1([0, lead, *tail])
+    assert f.revert() == picard_revert(f)
+
+
 @given(series1(5))
 @settings(max_examples=60)
 def test_revert_is_involutive(f):
@@ -213,3 +226,16 @@ def test_truncate_never_extends():
     h = Series2([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
         h.truncate(2, 1)
+
+
+def test_truncate_rejects_negative_orders():
+    f = Series1([1, 2, 3, 4])
+    h = Series2([[1, 2], [3, 4]])
+    with pytest.raises(NegativeOrder):
+        f.truncate(-2)
+    for box in ((-2, 1), (1, -1)):
+        with pytest.raises(NegativeOrder):
+            h.truncate(*box)
+    assert issubclass(NegativeOrder, ValueError)
+    assert f.truncate(0) == Series1([1])
+    assert h.truncate(0, 0) == Series2([[1]])
