@@ -7,6 +7,7 @@ approximations.
 """
 
 from .series import (
+    BoxMismatch,
     NegativeOrder,
     NonzeroConstantSubstitution,
     NotInvertible,
@@ -23,7 +24,6 @@ from .transforms import (
     subordination_series,
 )
 from .partial_r import (
-    BoxMismatch,
     PartialRTable,
     TwoBandsTable,
     biconvolve,
@@ -35,7 +35,6 @@ from .oracle import (
     LEFT,
     RIGHT,
     FactorMismatch,
-    PointedSpace,
     ProductState,
     TruncationUnsound,
     TwoFacedPairRep,
@@ -45,13 +44,11 @@ from .oracle import (
     two_bands_table,
 )
 from .rank1 import (
-    BandDecomposition,
     CapExceeded,
     NotRank1,
     Rank1System,
     UnsupportedIndexSets,
     apply_T,
-    band_decompose,
     biconvolve_rank1,
     extract_system,
     mixed_moment,
@@ -81,7 +78,6 @@ __all__ = [
     "mixed_cumulants_vanish",
     "LEFT",
     "RIGHT",
-    "PointedSpace",
     "TwoFacedPairRep",
     "ProductState",
     "FactorMismatch",
@@ -90,8 +86,6 @@ __all__ = [
     "shift_pair_rep",
     "two_bands_table",
     "sum_two_bands_table",
-    "BandDecomposition",
-    "band_decompose",
     "Rank1System",
     "apply_T",
     "mixed_moment",

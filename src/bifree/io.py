@@ -146,7 +146,7 @@ def _require_keys(doc: dict, keys: set):
 def _values_grid(doc):
     values = doc["values"]
     if not isinstance(values, list) or not values or not all(
-        isinstance(row, list) and row for row in values
+        isinstance(row, list) and row and len(row) == len(values[0]) for row in values
     ):
         raise ParseError("'values' must be a nonempty rectangular array")
     return [[rational_from_json(v) for v in row] for row in values]
@@ -231,6 +231,8 @@ def from_json(text: str):
                 tuple((LEFT, i) for i in il) + tuple((RIGHT, j) for j in jl)
             ) != " ".join(key.split()):
                 raise ParseError(f"two_bands key {key!r} is not a canonical IJ-word")
+            if (il, jl) in two_bands:
+                raise ParseError(f"two_bands key {key!r} repeats an earlier word")
             two_bands[(il, jl)] = rational_from_json(value)
         try:
             return Rank1System(left, right, lam, two_bands, cap)

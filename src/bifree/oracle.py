@@ -14,7 +14,8 @@ Vectors of the product space are sparse dicts keyed by alternating words
 exactly when no operator word longer than that is evaluated: applying one
 operator grows a word by at most one letter.
 
-Matrices are numpy object arrays filled with ``fractions.Fraction``.
+Matrices are tuples of row tuples of ``fractions.Fraction``; the products
+below skip zero entries, which the sparse shift and Fock models are full of.
 Representations and product states are read-only after construction (the
 basis cache is filled at most once), so evaluations may run in parallel.
 """
@@ -24,8 +25,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-import numpy as np
-
 from .partial_r import TwoBandsTable
 from .series import as_fraction
 
@@ -34,7 +33,6 @@ __all__ = [
     "RIGHT",
     "FactorMismatch",
     "TruncationUnsound",
-    "PointedSpace",
     "TwoFacedPairRep",
     "ProductState",
     "rational_matrix",
@@ -42,6 +40,10 @@ __all__ = [
     "identity_matrix",
     "state_projector",
     "commutator",
+    "inner",
+    "dot",
+    "matvec",
+    "vecmat",
     "gaussian_pair_rep",
     "shift_pair_rep",
     "two_bands_table",
@@ -60,96 +62,100 @@ class TruncationUnsound(ValueError):
     """Requested evaluation exceeds the range the truncation keeps exact."""
 
 
-def rational_vector(entries) -> np.ndarray:
-    return np.array([as_fraction(v) for v in entries], dtype=object)
+def rational_vector(entries) -> tuple:
+    return tuple(as_fraction(v) for v in entries)
 
 
-def rational_matrix(rows) -> np.ndarray:
-    mat = np.array([[as_fraction(v) for v in row] for row in rows], dtype=object)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+def rational_matrix(rows) -> tuple:
+    mat = tuple(rational_vector(row) for row in rows)
+    if any(len(row) != len(mat) for row in mat):
         raise ValueError("expected a square matrix")
     return mat
 
 
-def identity_matrix(dim: int) -> np.ndarray:
-    mat = np.full((dim, dim), Fraction(0), dtype=object)
-    for i in range(dim):
-        mat[i, i] = Fraction(1)
-    return mat
+def basis_vector(dim: int, i: int = 0) -> tuple:
+    return tuple(Fraction(int(r == i)) for r in range(dim))
 
 
-def zero_matrix(dim: int) -> np.ndarray:
-    return np.full((dim, dim), Fraction(0), dtype=object)
+def identity_matrix(dim: int) -> tuple:
+    return tuple(basis_vector(dim, i) for i in range(dim))
 
 
-def state_projector(dim: int) -> np.ndarray:
+def state_projector(dim: int) -> tuple:
     """The rank-one idempotent onto the state vector e0."""
-    mat = zero_matrix(dim)
-    mat[0, 0] = Fraction(1)
-    return mat
+    return (basis_vector(dim),) + ((Fraction(0),) * dim,) * (dim - 1)
 
 
-def basis_vector(dim: int, i: int = 0) -> np.ndarray:
-    vec = np.full(dim, Fraction(0), dtype=object)
-    vec[i] = Fraction(1)
-    return vec
+def inner(u, v) -> Fraction:
+    """sum u[i] v[i], skipping zero entries."""
+    acc = Fraction(0)
+    for x, y in zip(u, v):
+        if x and y:
+            acc += x * y
+    return acc
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+def matvec(mat, vec) -> tuple:
+    """mat @ vec."""
+    return tuple(inner(row, vec) for row in mat)
 
 
-class PointedSpace:
-    """Q^dim with state vector e0; coordinates 1 .. dim-1 span the complement."""
+def vecmat(vec, mat) -> tuple:
+    """vec @ mat, skipping zero entries."""
+    out = [Fraction(0)] * len(mat[0])
+    for x, row in zip(vec, mat):
+        if x:
+            for c, y in enumerate(row):
+                if y:
+                    out[c] += x * y
+    return tuple(out)
 
-    __slots__ = ("dim",)
 
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("a pointed space needs dimension >= 1")
-        self.dim = dim
+def dot(a, b) -> tuple:
+    """The matrix product a @ b."""
+    return tuple(vecmat(row, b) for row in a)
 
-    def __repr__(self):
-        return f"PointedSpace(dim={self.dim})"
+
+def commutator(a, b) -> tuple:
+    return tuple(
+        tuple(x - y for x, y in zip(u, v)) for u, v in zip(dot(a, b), dot(b, a))
+    )
 
 
 class TwoFacedPairRep:
-    """Left and right operator families on one pointed space.
+    """Left and right operator families on Q^dim with state vector e0.
 
+    Coordinates 1 .. dim-1 span the complement of the state vector.
     ``reliable`` lists the basis indices on which commutation identities of
     a truncation-built model can be trusted (None means all of them); it is
     consulted by :func:`bifree.rank1.extract_system`, never by moment
     evaluation.
     """
 
-    __slots__ = ("space", "left_ops", "right_ops", "reliable")
+    __slots__ = ("dim", "left_ops", "right_ops", "reliable")
 
-    def __init__(self, space, left_ops, right_ops, reliable=None):
-        self.space = space if isinstance(space, PointedSpace) else PointedSpace(space)
+    def __init__(self, dim: int, left_ops, right_ops, reliable=None):
+        if dim < 1:
+            raise ValueError("a pair representation needs dimension >= 1")
+        self.dim = dim
         self.left_ops = {k: self._check(m) for k, m in dict(left_ops).items()}
         self.right_ops = {k: self._check(m) for k, m in dict(right_ops).items()}
         if reliable is None:
-            self.reliable = tuple(range(self.space.dim))
+            self.reliable = tuple(range(dim))
         else:
             self.reliable = tuple(sorted(set(reliable)))
-            if self.reliable and not (
-                0 <= self.reliable[0] and self.reliable[-1] < self.space.dim
-            ):
+            if self.reliable and not (0 <= self.reliable[0] and self.reliable[-1] < dim):
                 raise ValueError("reliable indices out of range")
 
-    def _check(self, mat):
-        mat = mat if isinstance(mat, np.ndarray) else rational_matrix(mat)
-        if mat.shape != (self.space.dim, self.space.dim):
+    def _check(self, mat) -> tuple:
+        mat = rational_matrix(mat)
+        if len(mat) != self.dim:
             raise FactorMismatch(
-                f"operator shape {mat.shape} does not fit dimension {self.space.dim}"
+                f"operator shape {(len(mat), len(mat))} does not fit dimension {self.dim}"
             )
         return mat
 
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def operator(self, side, label) -> np.ndarray:
+    def operator(self, side, label) -> tuple:
         ops = self.left_ops if side == LEFT else self.right_ops
         try:
             return ops[label]
@@ -163,7 +169,7 @@ class TwoFacedPairRep:
         """
         vec = basis_vector(self.dim)
         for side, label in reversed(tuple(word)):
-            vec = self.operator(side, label) @ vec
+            vec = matvec(self.operator(side, label), vec)
         return vec[0]
 
 
@@ -195,12 +201,12 @@ class ProductState:
     def apply_left(self, k, mat, vec: dict) -> dict:
         """Apply the left representation of factor k's operator ``mat``."""
         factor = self._factor(k)
-        mat = factor._check(mat)
+        cols = tuple(zip(*factor._check(mat)))
         dim = factor.dim
         out: dict = {}
         for word, c in vec.items():
             if word and word[0][0] == k:
-                col = mat[:, word[0][1]]
+                col = cols[word[0][1]]
                 rest = word[1:]
                 if col[0]:
                     _bump(out, rest, c * col[0])
@@ -208,7 +214,7 @@ class ProductState:
                     if col[r]:
                         _bump(out, ((k, r),) + rest, c * col[r])
             else:
-                col = mat[:, 0]
+                col = cols[0]
                 if col[0]:
                     _bump(out, word, c * col[0])
                 if len(word) < self.max_word_len:
@@ -220,12 +226,12 @@ class ProductState:
     def apply_right(self, k, mat, vec: dict) -> dict:
         """Mirror of :meth:`apply_left`, acting on the last tensor slot."""
         factor = self._factor(k)
-        mat = factor._check(mat)
+        cols = tuple(zip(*factor._check(mat)))
         dim = factor.dim
         out: dict = {}
         for word, c in vec.items():
             if word and word[-1][0] == k:
-                col = mat[:, word[-1][1]]
+                col = cols[word[-1][1]]
                 rest = word[:-1]
                 if col[0]:
                     _bump(out, rest, c * col[0])
@@ -233,7 +239,7 @@ class ProductState:
                     if col[r]:
                         _bump(out, rest + ((k, r),), c * col[r])
             else:
-                col = mat[:, 0]
+                col = cols[0]
                 if col[0]:
                     _bump(out, word, c * col[0])
                 if len(word) < self.max_word_len:
@@ -263,20 +269,20 @@ class ProductState:
     def dim(self) -> int:
         return len(self.basis())
 
-    def _materialize(self, apply_fn, k, mat) -> np.ndarray:
+    def _materialize(self, apply_fn, k, mat) -> tuple:
         words = self.basis()
         index = {w: i for i, w in enumerate(words)}
-        out = np.full((len(words), len(words)), Fraction(0), dtype=object)
+        out = [[Fraction(0)] * len(words) for _ in words]
         for j, w in enumerate(words):
             for image, v in apply_fn(k, mat, {w: Fraction(1)}).items():
-                out[index[image], j] = v
-        return out
+                out[index[image]][j] = v
+        return tuple(map(tuple, out))
 
-    def left_action(self, k, mat) -> np.ndarray:
+    def left_action(self, k, mat) -> tuple:
         """Matrix of the left representation over :meth:`basis`."""
         return self._materialize(self.apply_left, k, mat)
 
-    def right_action(self, k, mat) -> np.ndarray:
+    def right_action(self, k, mat) -> tuple:
         return self._materialize(self.apply_right, k, mat)
 
     def joint_moment(self, word) -> Fraction:
@@ -329,15 +335,16 @@ def shift_pair_rep(dim: int, omega) -> TwoFacedPairRep:
     if dim < 2:
         raise ValueError("shift model needs dimension >= 2")
     ((a, b), (c, d)) = omega
-    shift = zero_matrix(dim)
-    for i in range(dim - 1):
-        shift[i + 1, i] = Fraction(1)
-    costar = shift.T.copy()
-    left = as_fraction(a) * shift + as_fraction(b) * costar
-    right = as_fraction(c) * shift + as_fraction(d) * costar
-    return TwoFacedPairRep(
-        PointedSpace(dim), {0: left}, {0: right}, reliable=range(dim - 1)
-    )
+
+    def combo(x, y):
+        """x S + y S*: x below the diagonal, y above it."""
+        x, y = as_fraction(x), as_fraction(y)
+        return [
+            [x if r == col + 1 else y if col == r + 1 else 0 for col in range(dim)]
+            for r in range(dim)
+        ]
+
+    return TwoFacedPairRep(dim, {0: combo(a, b)}, {0: combo(c, d)}, reliable=range(dim - 1))
 
 
 def fock_words(hilbert_dim: int, cutoff: int) -> list:
@@ -373,23 +380,23 @@ def gaussian_pair_rep(h_left, hs_left, h_right, hs_right, fock_cutoff: int) -> T
     index = {w: i for i, w in enumerate(words)}
     dim = len(words)
 
-    left = zero_matrix(dim)
-    right = zero_matrix(dim)
+    left = [[Fraction(0)] * dim for _ in range(dim)]
+    right = [[Fraction(0)] * dim for _ in range(dim)]
     for w, j in index.items():
         if len(w) < fock_cutoff:
             for i in range(hdim):
                 if h_left[i]:
-                    left[index[(i,) + w], j] += h_left[i]
+                    left[index[(i,) + w]][j] += h_left[i]
                 if h_right[i]:
-                    right[index[w + (i,)], j] += h_right[i]
+                    right[index[w + (i,)]][j] += h_right[i]
         if w:
             if hs_left[w[0]]:
-                left[index[w[1:]], j] += hs_left[w[0]]
+                left[index[w[1:]]][j] += hs_left[w[0]]
             if hs_right[w[-1]]:
-                right[index[w[:-1]], j] += hs_right[w[-1]]
+                right[index[w[:-1]]][j] += hs_right[w[-1]]
 
     reliable = [i for i, w in enumerate(words) if len(w) < fock_cutoff]
-    return TwoFacedPairRep(PointedSpace(dim), {0: left}, {0: right}, reliable=reliable)
+    return TwoFacedPairRep(dim, {0: left}, {0: right}, reliable=reliable)
 
 
 def two_bands_table(rep: TwoFacedPairRep, box, left=0, right=0) -> TwoBandsTable:
@@ -401,11 +408,11 @@ def two_bands_table(rep: TwoFacedPairRep, box, left=0, right=0) -> TwoBandsTable
     values = [[Fraction(0)] * (n + 1) for _ in range(m + 1)]
     for j in range(n + 1):
         if j:
-            vec = b @ vec
+            vec = matvec(b, vec)
         w = vec
         values[0][j] = w[0]
         for i in range(1, m + 1):
-            w = a @ w
+            w = matvec(a, w)
             values[i][j] = w[0]
     return TwoBandsTable(values)
 

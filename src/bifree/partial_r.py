@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import Series1, Series2, as_fraction, check_orders
+from .series import BoxMismatch, Series1, Series2, as_fraction
 from .transforms import BadNormalization, _tower_revert
 
 __all__ = [
@@ -47,70 +47,21 @@ __all__ = [
 ]
 
 
-class BoxMismatch(ValueError):
-    """Operands must live on the same truncation box."""
-
-
-class _Table:
-    """Rectangular array of exact rationals indexed by bidegree (m, n)."""
-
-    __slots__ = ("values",)
-
-    _corner = None
-
-    def __init__(self, values):
-        rows = tuple(tuple(as_fraction(v) for v in row) for row in values)
-        if not rows or not rows[0]:
-            raise ValueError("a table needs at least its (0, 0) entry")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise ValueError("table rows must have equal length")
-        if self._corner is not None and rows[0][0] != self._corner:
-            raise BadNormalization(
-                f"{type(self).__name__} needs entry (0, 0) = {self._corner}, got {rows[0][0]}"
-            )
-        self.values = rows
-
-    @property
-    def left_order(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def right_order(self) -> int:
-        return len(self.values[0]) - 1
-
-    @property
-    def box(self):
-        return (self.left_order, self.right_order)
-
-    def __getitem__(self, mn):
-        m, n = mn
-        return self.values[m][n]
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.values))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({[list(r) for r in self.values]!r})"
-
-    def truncate(self, left_order: int, right_order: int):
-        check_orders(left_order, right_order)
-        if left_order > self.left_order or right_order > self.right_order:
-            raise BoxMismatch(f"cannot extend box {self.box} to {(left_order, right_order)}")
-        return type(self)(
-            tuple(row[: right_order + 1] for row in self.values[: left_order + 1])
+def _require_corner(table, corner):
+    if table.values[0][0] != corner:
+        raise BadNormalization(
+            f"{type(table).__name__} needs entry (0, 0) = {corner}, got {table.values[0][0]}"
         )
 
 
-class TwoBandsTable(_Table):
+class TwoBandsTable(Series2):
     """Moments phi(a^m b^n) on a box; column 0 and row 0 are the marginals."""
 
-    _corner = Fraction(1)
+    __slots__ = ()
+
+    def __init__(self, values):
+        super().__init__(values)
+        _require_corner(self, 1)
 
     def a_moments(self) -> tuple[Fraction, ...]:
         return tuple(row[0] for row in self.values)
@@ -126,22 +77,18 @@ class TwoBandsTable(_Table):
         return cls(tuple(tuple(am * bn for bn in b) for am in a))
 
 
-class PartialRTable(_Table):
-    """Two-bands bi-free cumulants R[m][n]; the (0, 0) slot is fixed to 0."""
+class PartialRTable(Series2):
+    """Two-bands bi-free cumulants R[m][n]; the (0, 0) slot is fixed to 0.
 
-    _corner = Fraction(0)
+    Bi-free additive convolution adds cumulant tables, and the sum of two
+    PartialRTables is again one.
+    """
 
-    def __add__(self, other):
-        if not isinstance(other, PartialRTable):
-            return NotImplemented
-        m = min(self.left_order, other.left_order)
-        n = min(self.right_order, other.right_order)
-        return PartialRTable(
-            tuple(
-                tuple(self.values[i][j] + other.values[i][j] for j in range(n + 1))
-                for i in range(m + 1)
-            )
-        )
+    __slots__ = ()
+
+    def __init__(self, values):
+        super().__init__(values)
+        _require_corner(self, 0)
 
     def a_cumulants(self) -> tuple[Fraction, ...]:
         """Free cumulants of the left marginal: entry m is the m-th cumulant."""
@@ -169,8 +116,8 @@ def compute_partial_r(table: TwoBandsTable) -> PartialRTable:
     kb = _tower_revert(Series1(table.b_moments()))
     pa, pb = ka.shift_down().reciprocal(), kb.shift_down().reciprocal()
     linear, product = _frame(pa, pb, table.box)
-    frac = Series2(table.values).substitute(ka, kb).reciprocal()
-    return PartialRTable((linear - product * frac).rows)
+    frac = table.substitute(ka, kb).reciprocal()
+    return PartialRTable((linear - product * frac).values)
 
 
 def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
@@ -184,10 +131,10 @@ def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
     pa = Series1(r.a_cumulants()) + 1
     pb = Series1(r.b_cumulants()) + 1
     linear, product = _frame(pa, pb, r.box)
-    q = product * (linear - Series2(r.values)).reciprocal()
+    q = product * (linear - r).reciprocal()
     ga = _tower_revert(pa.reciprocal())
     gb = _tower_revert(pb.reciprocal())
-    return TwoBandsTable(q.substitute(ga, gb).rows)
+    return TwoBandsTable(q.substitute(ga, gb).values)
 
 
 def biconvolve(t1: TwoBandsTable, t2: TwoBandsTable) -> TwoBandsTable:

@@ -16,11 +16,21 @@ evaluations are pure and parallelizable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .oracle import LEFT, RIGHT, TwoFacedPairRep, basis_vector, state_projector
+from .oracle import (
+    LEFT,
+    RIGHT,
+    TwoFacedPairRep,
+    _bump,
+    basis_vector,
+    commutator,
+    inner,
+    matvec,
+    state_projector,
+    vecmat,
+)
 from .partial_r import TwoBandsTable, biconvolve
 from .series import as_fraction
 
@@ -28,8 +38,6 @@ __all__ = [
     "CapExceeded",
     "UnsupportedIndexSets",
     "NotRank1",
-    "BandDecomposition",
-    "band_decompose",
     "Rank1System",
     "apply_T",
     "mixed_moment",
@@ -48,36 +56,6 @@ class UnsupportedIndexSets(ValueError):
 
 class NotRank1(ValueError):
     """A commutator fails the lam * P shape where the model is reliable."""
-
-
-@dataclass(frozen=True)
-class BandDecomposition:
-    """Maximal same-side intervals of a word, as (side, first, last), 1-based."""
-
-    bands: tuple
-
-    @property
-    def starts_left(self):
-        return self.bands[0][0] == LEFT if self.bands else None
-
-    @property
-    def ends_left(self):
-        return self.bands[-1][0] == LEFT if self.bands else None
-
-    def __len__(self):
-        return len(self.bands)
-
-
-def band_decompose(word) -> BandDecomposition:
-    """Split a word into its bands; the empty word has zero bands."""
-    word = tuple(word)
-    bands = []
-    start = 0
-    for pos in range(1, len(word) + 1):
-        if pos == len(word) or word[pos][0] != word[start][0]:
-            bands.append((word[start][0], start + 1, pos))
-            start = pos
-    return BandDecomposition(tuple(bands))
 
 
 class Rank1System:
@@ -265,11 +243,10 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
     lam = {}
     for i, a in rep.left_ops.items():
         for j, b in rep.right_ops.items():
-            comm = a @ b - b @ a
-            lam_ij = comm[0, 0]
-            delta = comm - lam_ij * proj
+            comm = commutator(a, b)
+            lam_ij = comm[0][0]
             for c in rep.reliable:
-                if any(delta[r, c] != 0 for r in range(dim)):
+                if any(comm[r][c] != lam_ij * proj[r][c] for r in range(dim)):
                     raise NotRank1(
                         f"[a_{i}, b_{j}] is not a multiple of the state projector "
                         f"on reliable column {c}"
@@ -288,7 +265,7 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
         nxt = {}
         for w, vec in frontier.items():
             for j in right_labels:
-                nxt[(j,) + w] = rep.right_ops[j] @ vec
+                nxt[(j,) + w] = matvec(rep.right_ops[j], vec)
         cols.update(nxt)
         frontier = nxt
 
@@ -298,7 +275,7 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
         nxt = {}
         for w, vec in frontier.items():
             for i in left_labels:
-                nxt[w + (i,)] = vec @ rep.left_ops[i]
+                nxt[w + (i,)] = vecmat(vec, rep.left_ops[i])
         rows.update(nxt)
         frontier = nxt
 
@@ -308,10 +285,6 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
             row = rows[iw]
             for q in range(cap + 1 - p):
                 for jw in product(right_labels, repeat=q):
-                    two_bands[(iw, jw)] = row @ cols[jw]
+                    two_bands[(iw, jw)] = inner(row, cols[jw])
     return Rank1System(left_labels, right_labels, lam, two_bands, cap)
 
-
-def _bump(d: dict, key, value):
-    cur = d.get(key)
-    d[key] = value if cur is None else cur + value

@@ -131,7 +131,7 @@ def _quotient(table, t_series, s_series):
     box = table.box
     ha = Series1(table.a_moments()).compose(t_series)
     hb = Series1(table.b_moments()).compose(s_series)
-    h2 = Series2(table.values).substitute(t_series, s_series)
+    h2 = table.substitute(t_series, s_series)
     return (
         Series2.from_left(ha, box[1])
         * Series2.from_right(hb, box[0])

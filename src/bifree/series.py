@@ -21,6 +21,7 @@ __all__ = [
     "NotInvertible",
     "NonzeroConstantSubstitution",
     "NegativeOrder",
+    "BoxMismatch",
     "as_fraction",
 ]
 
@@ -39,6 +40,10 @@ class NonzeroConstantSubstitution(ValueError):
 
 class NegativeOrder(ValueError):
     """Truncation orders are nonnegative: order 0 keeps the constant term."""
+
+
+class BoxMismatch(ValueError):
+    """Operands must live on the same truncation box."""
 
 
 def check_orders(*orders):
@@ -69,6 +74,7 @@ class Series1:
 
     @classmethod
     def constant(cls, value, order):
+        check_orders(order)
         return cls((as_fraction(value),) + (Fraction(0),) * order)
 
     @classmethod
@@ -199,20 +205,27 @@ class Series1:
 
 
 class Series2:
-    """Truncated series ``sum c[m][n] t^m s^n`` on the box (left_order, right_order)."""
+    """Truncated series ``sum c[m][n] t^m s^n`` on the box (left_order, right_order).
 
-    __slots__ = ("rows",)
+    Subclasses are typed grids on the same box (the two-bands moment and
+    cumulant tables): a value equals only values of its own type, truncation
+    and the sum of two values of one type keep that type, and every other
+    operation returns a plain Series2.
+    """
 
-    def __init__(self, rows):
-        self.rows = tuple(tuple(as_fraction(v) for v in row) for row in rows)
-        if not self.rows or not self.rows[0]:
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = tuple(tuple(as_fraction(v) for v in row) for row in values)
+        if not self.values or not self.values[0]:
             raise ValueError("a two-variable series needs at least its constant term")
-        width = len(self.rows[0])
-        if any(len(row) != width for row in self.rows):
+        width = len(self.values[0])
+        if any(len(row) != width for row in self.values):
             raise ValueError("coefficient rows must have equal length")
 
     @classmethod
     def constant(cls, value, left_order, right_order):
+        check_orders(left_order, right_order)
         rows = [[as_fraction(value)] + [Fraction(0)] * right_order]
         rows += [[Fraction(0)] * (right_order + 1) for _ in range(left_order)]
         return cls(rows)
@@ -228,23 +241,25 @@ class Series2:
     @classmethod
     def from_left(cls, f: Series1, right_order: int) -> "Series2":
         """Embed a series in t as a two-variable series constant in s."""
+        check_orders(right_order)
         rows = [[c] + [Fraction(0)] * right_order for c in f.coeffs]
         return cls(rows)
 
     @classmethod
     def from_right(cls, g: Series1, left_order: int) -> "Series2":
         """Embed a series in s as a two-variable series constant in t."""
+        check_orders(left_order)
         rows = [list(g.coeffs)]
         rows += [[Fraction(0)] * (g.order + 1) for _ in range(left_order)]
         return cls(rows)
 
     @property
     def left_order(self) -> int:
-        return len(self.rows) - 1
+        return len(self.values) - 1
 
     @property
     def right_order(self) -> int:
-        return len(self.rows[0]) - 1
+        return len(self.values[0]) - 1
 
     @property
     def box(self):
@@ -252,24 +267,24 @@ class Series2:
 
     def __getitem__(self, mn):
         m, n = mn
-        return self.rows[m][n]
+        return self.values[m][n]
 
     def __eq__(self, other):
-        if not isinstance(other, Series2):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.rows == other.rows
+        return self.values == other.values
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((type(self).__name__, self.values))
 
     def __repr__(self):
-        return f"Series2({[list(r) for r in self.rows]!r})"
+        return f"{type(self).__name__}({[list(r) for r in self.values]!r})"
 
-    def truncate(self, left_order: int, right_order: int) -> "Series2":
+    def truncate(self, left_order: int, right_order: int):
         check_orders(left_order, right_order)
         if left_order > self.left_order or right_order > self.right_order:
-            raise ValueError(f"cannot extend box {self.box} to {(left_order, right_order)}")
-        return Series2(tuple(row[: right_order + 1] for row in self.rows[: left_order + 1]))
+            raise BoxMismatch(f"cannot extend box {self.box} to {(left_order, right_order)}")
+        return type(self)(tuple(row[: right_order + 1] for row in self.values[: left_order + 1]))
 
     def _min_box(self, other):
         return (min(self.left_order, other.left_order), min(self.right_order, other.right_order))
@@ -277,21 +292,20 @@ class Series2:
     def __add__(self, other):
         if isinstance(other, Series2):
             m, n = self._min_box(other)
-            return Series2(
-                tuple(
-                    tuple(self.rows[i][j] + other.rows[i][j] for j in range(n + 1))
-                    for i in range(m + 1)
-                )
+            a, b = self.values, other.values
+            kind = type(self) if type(other) is type(self) else Series2
+            return kind(
+                tuple(tuple(a[i][j] + b[i][j] for j in range(n + 1)) for i in range(m + 1))
             )
         c = as_fraction(other)
-        rows = [list(r) for r in self.rows]
+        rows = [list(r) for r in self.values]
         rows[0][0] += c
         return Series2(rows)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series2(tuple(tuple(-v for v in row) for row in self.rows))
+        return Series2(tuple(tuple(-v for v in row) for row in self.values))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Series2) else -as_fraction(other))
@@ -302,9 +316,9 @@ class Series2:
     def __mul__(self, other):
         if not isinstance(other, Series2):
             c = as_fraction(other)
-            return Series2(tuple(tuple(c * v for v in row) for row in self.rows))
+            return Series2(tuple(tuple(c * v for v in row) for row in self.values))
         m, n = self._min_box(other)
-        a, b = self.rows, other.rows
+        a, b = self.values, other.values
         out = []
         for p in range(m + 1):
             row = []
@@ -324,7 +338,7 @@ class Series2:
 
     def reciprocal(self) -> "Series2":
         """Series g with self * g = 1 on the box of self."""
-        c0 = self.rows[0][0]
+        c0 = self.values[0][0]
         if c0 == 0:
             raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
         m, n = self.left_order, self.right_order
@@ -337,7 +351,7 @@ class Series2:
                     continue
                 acc = Fraction(0)
                 for i in range(p + 1):
-                    ai = self.rows[i]
+                    ai = self.values[i]
                     for j in range(q + 1):
                         if (i or j) and ai[j]:
                             acc += ai[j] * out[p - i][q - j]
@@ -367,7 +381,7 @@ class Series2:
                     if not fp:
                         continue
                     for q in range(j + 1):
-                        c = self.rows[p][q]
+                        c = self.values[p][q]
                         if c:
                             acc += c * fp * gpow[q].coeffs[j]
                 row.append(acc)

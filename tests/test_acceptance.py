@@ -18,7 +18,6 @@ from bifree.oracle import (
     gaussian_pair_rep,
     rational_matrix,
     shift_pair_rep,
-    state_projector,
     sum_two_bands_table,
     two_bands_table,
 )
@@ -31,7 +30,8 @@ from bifree.partial_r import (
     partial_r_to_moments,
 )
 from bifree.rank1 import extract_system, mixed_moment
-from bifree.series import Series1, Series2
+from bifree.selfcheck import _quotient
+from bifree.series import Series1
 from bifree.transforms import free_convolve1, subordination_series
 from helpers import random_table
 
@@ -182,15 +182,6 @@ def test_criterion_6_alternating_factorization():
                     checked += 1
     assert checked == 81
     _report("criterion 6: alternating centered factorization, all patterns m, n <= 4")
-
-
-def _quotient(table, t_series, s_series):
-    """h_a(t(.)) h_b(s(.)) / H(t(.), s(.)) as an exact two-variable series."""
-    box = table.box
-    ha = Series1(table.a_moments()).compose(t_series)
-    hb = Series1(table.b_moments()).compose(s_series)
-    h2 = Series2(table.values).substitute(t_series, s_series)
-    return Series2.from_left(ha, box[1]) * Series2.from_right(hb, box[0]) * h2.reciprocal()
 
 
 def test_criterion_7_subordination_identities():

@@ -105,12 +105,19 @@ def test_version_and_kind_checked():
         from_json("[1, 2]")
     with pytest.raises(ParseError):
         from_json("not json")
+    with pytest.raises(ParseError):
+        from_json('{"format_version": "1", "kind": "two_bands_pair", "values": [[1, 2], [3]]}')
 
 
 def test_noncanonical_two_bands_word_rejected():
     system = extract_system(shift_pair_rep(3, [[1, 0], [0, 1]]), cap=2)
     doc = json.loads(to_json(system))
     doc["two_bands"]["b0 a0"] = 0
+    with pytest.raises(ParseError):
+        from_json(json.dumps(doc))
+    # one word written twice, once with extra whitespace
+    doc = json.loads(to_json(system))
+    doc["two_bands"][" a0"] = doc["two_bands"]["a0"]
     with pytest.raises(ParseError):
         from_json(json.dumps(doc))
 

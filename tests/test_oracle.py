@@ -1,10 +1,12 @@
 """Operator-model oracle: product actions, model builders, bi-freeness."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import product as iproduct
 
-import numpy as np
 import pytest
 
 from bifree.oracle import (
@@ -31,9 +33,9 @@ def rand_rep(rng, dim, lo=-2, hi=2):
     return TwoFacedPairRep(dim, {0: mk()}, {0: mk()})
 
 
-def centered(rng, dim):
+def centered(rng, dim, corner=F(0)):
     mat = [[F(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
-    mat[0][0] = F(0)
+    mat[0][0] = corner
     return rational_matrix(mat)
 
 
@@ -46,8 +48,8 @@ def test_identity_lifts_to_identity():
     p = two_factor_product(rng, (2, 2), max_word_len=3)
     n = p.dim()
     for k in range(2):
-        assert (p.left_action(k, identity_matrix(2)) == identity_matrix(n)).all()
-        assert (p.right_action(k, identity_matrix(2)) == identity_matrix(n)).all()
+        assert p.left_action(k, identity_matrix(2)) == identity_matrix(n)
+        assert p.right_action(k, identity_matrix(2)) == identity_matrix(n)
 
 
 def test_scalar_action_on_state_vector():
@@ -65,8 +67,7 @@ def test_scalar_action_on_state_vector():
 def test_left_and_right_agree_on_state_vector():
     rng = random.Random(2)
     p = two_factor_product(rng, (3, 3), max_word_len=3)
-    mat = centered(rng, 3)
-    mat[0, 0] = F(5)
+    mat = centered(rng, 3, corner=F(5))
     assert p.apply_left(1, mat, p.vacuum()) == p.apply_right(1, mat, p.vacuum())
 
 
@@ -199,11 +200,38 @@ def test_cross_factor_commutators_vanish():
     a0 = p.left_action(0, reps[0].left_ops[0])
     b1 = p.right_action(1, reps[1].right_ops[0])
     n = p.dim()
-    zero = np.full((n, n), F(0), dtype=object)
-    assert (commutator(a0, b1) == zero).all()
+    zero = ((F(0),) * n,) * n
+    assert commutator(a0, b1) == zero
     a1 = p.left_action(1, reps[1].left_ops[0])
     b0 = p.right_action(0, reps[0].right_ops[0])
-    assert (commutator(a1, b0) == zero).all()
+    assert commutator(a1, b0) == zero
+
+
+def test_operators_are_immutable():
+    rep = TwoFacedPairRep(2, {0: [[1, 2], [3, 4]]}, {0: [[0, 1], [1, 0]]})
+    with pytest.raises(TypeError):
+        rep.left_ops[0][0][0] = F(5)
+    with pytest.raises(TypeError):
+        rep.left_ops[0][0, 0] = F(5)
+    assert rep.left_ops[0] == ((1, 2), (3, 4))
+    assert rep.moment([(LEFT, 0)]) == 1
+
+
+def test_import_loads_only_the_standard_library():
+    # the matrices are plain tuples, so the package needs nothing installed
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bifree, bifree.cli\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "['bifree']"
 
 
 # -- model builders --
@@ -221,9 +249,8 @@ def test_shift_commutator_shape():
         rep = shift_pair_rep(5, omega)
         comm = commutator(rep.left_ops[0], rep.right_ops[0])
         proj = state_projector(5)
-        delta = comm - (-F(det)) * proj
         for c in rep.reliable:
-            assert all(delta[r, c] == 0 for r in range(5))
+            assert all(comm[r][c] == (-F(det)) * proj[r][c] for r in range(5))
 
 
 def test_gaussian_first_moments():
@@ -246,9 +273,9 @@ def test_gaussian_commutator_formula():
         pair = lambda u, v: sum(x * y for x, y in zip(u, v))
         lam = pair(h_r, hs_l) - pair(h_l, hs_r)
         comm = commutator(rep.left_ops[0], rep.right_ops[0])
-        delta = comm - lam * state_projector(rep.dim)
+        proj = state_projector(rep.dim)
         for c in rep.reliable:
-            assert all(delta[r, c] == 0 for r in range(rep.dim))
+            assert all(comm[r][c] == lam * proj[r][c] for r in range(rep.dim))
 
 
 def test_one_variable_convolution_against_oracle():

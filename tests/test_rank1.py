@@ -1,4 +1,4 @@
-"""Rank <= 1 commutation systems: bands, recursion, convolution, extraction."""
+"""Rank <= 1 commutation systems: recursion, convolution, extraction."""
 
 import random
 from fractions import Fraction as F
@@ -22,7 +22,6 @@ from bifree.rank1 import (
     Rank1System,
     UnsupportedIndexSets,
     apply_T,
-    band_decompose,
     biconvolve_rank1,
     extract_system,
     mixed_moment,
@@ -37,21 +36,8 @@ def b(label=0):
     return (RIGHT, label)
 
 
-# -- bands --
-
-
-def test_band_decompose_examples():
-    d = band_decompose([a(1), a(2), b(1)])
-    assert d.bands == ((LEFT, 1, 2), (RIGHT, 3, 3))
-    assert d.starts_left is True and len(d) == 2
-
-    d = band_decompose([b(1)])
-    assert d.bands == ((RIGHT, 1, 1),)
-    assert d.starts_left is False
-
-    assert len(band_decompose([a(), b(), a(), b()])) == 4
-    empty = band_decompose([])
-    assert empty.bands == () and empty.starts_left is None
+def matrix_sum(x, y):
+    return tuple(tuple(u + v for u, v in zip(r, s)) for r, s in zip(x, y))
 
 
 # -- the recursion --
@@ -293,9 +279,11 @@ def test_biconvolve_rank1_commutes_with_extraction():
         if len(w) <= p.max_word_len - 2
         and all(c in p.factors[k].reliable for k, c in w)
     ]
-    summed_left = p.left_action(0, rep_a.left_ops[0]) + p.left_action(1, rep_b.left_ops[0])
-    summed_right = p.right_action(0, rep_a.right_ops[0]) + p.right_action(
-        1, rep_b.right_ops[0]
+    summed_left = matrix_sum(
+        p.left_action(0, rep_a.left_ops[0]), p.left_action(1, rep_b.left_ops[0])
+    )
+    summed_right = matrix_sum(
+        p.right_action(0, rep_a.right_ops[0]), p.right_action(1, rep_b.right_ops[0])
     )
     lifted = TwoFacedPairRep(
         p.dim(), {0: summed_left}, {0: summed_right}, reliable=safe

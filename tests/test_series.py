@@ -200,7 +200,7 @@ def test_ring_axioms_two_variables(f, g, h):
 @given(series2((2, 2)))
 @settings(max_examples=40)
 def test_reciprocal_is_two_sided_inverse(f):
-    rows = [list(r) for r in f.rows]
+    rows = [list(r) for r in f.values]
     rows[0][0] = F(1) + abs(rows[0][0])  # force a nonzero constant term
     f = Series2(rows)
     assert f * f.reciprocal() == Series2.one(2, 2)
@@ -236,6 +236,22 @@ def test_truncate_rejects_negative_orders():
     for box in ((-2, 1), (1, -1)):
         with pytest.raises(NegativeOrder):
             h.truncate(*box)
+    constructors = [
+        lambda: Series1.constant(3, -1),
+        lambda: Series1.zero(-2),
+        lambda: Series1.one(-1),
+        lambda: Series2.constant(3, -1, 2),
+        lambda: Series2.zero(2, -1),
+        lambda: Series2.one(-1, 3),
+        lambda: Series2.from_left(Series1([1, 2]), -3),
+        lambda: Series2.from_right(Series1([1, 2]), -1),
+    ]
+    for build in constructors:
+        with pytest.raises(NegativeOrder):
+            build()
     assert issubclass(NegativeOrder, ValueError)
     assert f.truncate(0) == Series1([1])
     assert h.truncate(0, 0) == Series2([[1]])
+    assert Series1.zero(0) == Series1([0])
+    assert Series2.one(0, 3).box == (0, 3)
+    assert Series2.from_left(Series1([1, 2]), 0).box == (1, 0)
