@@ -1,16 +1,18 @@
 """JSON serialization for distribution data.
 
-Rationals travel as JSON integers or strings ``"p/q"``; floats are rejected
+Rationals travel as JSON integers or strings ``"p"`` or ``"p/q"`` (an
+optional minus sign, ASCII decimal digits, q nonzero); floats are rejected
 outright so generic tooling can never corrupt a value.  Documents carry a
 ``format_version`` and a ``kind`` from {two_bands_pair, rank1_system,
 moment_seq} for inputs, plus ``partial_r_table`` for emitted cumulant
-tables.  Unknown fields are rejected and serialization is canonical
-(sorted keys, two-space indent), so parse -> serialize -> parse is the
-identity and equal data always produces byte-identical files.
+tables.  Unknown fields and objects that repeat a key are rejected, and
+serialization is canonical (sorted keys, two-space indent), so parse ->
+serialize -> parse is the identity and equal data always produces
+byte-identical files.
 
 Words over the variables are whitespace-separated letters: ``a<label>`` for
-left, ``b<label>`` for right, e.g. ``"a1 b2 a1"``; the empty string is the
-empty word.
+left, ``b<label>`` for right, labels in ASCII digits, e.g. ``"a1 b2 a1"``;
+the empty string is the empty word.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ __all__ = [
 
 FORMAT_VERSION = "1"
 
-_LETTER = re.compile(r"^([ab])(\d+)$")
+_LETTER = re.compile(r"^([ab])([0-9]+)$")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class ParseError(ValueError):
@@ -51,16 +54,15 @@ def rational_to_json(x: Fraction):
 
 
 def rational_from_json(v) -> Fraction:
-    if isinstance(v, bool) or isinstance(v, float):
-        raise ParseError(f"rationals must be integers or 'p/q' strings, got {v!r}")
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {v!r}") from exc
-    raise ParseError(f"rationals must be integers or 'p/q' strings, got {v!r}")
+    match = _RATIONAL.fullmatch(v) if isinstance(v, str) else None
+    if match is None:
+        raise ParseError(f"rationals must be integers or 'p/q' strings, got {v!r}")
+    try:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except (ValueError, ZeroDivisionError) as exc:  # q = 0, or too many digits
+        raise ParseError(f"bad rational literal {v!r}") from exc
 
 
 def word_to_str(word) -> str:
@@ -79,37 +81,36 @@ def parse_word(text: str):
         if not match:
             raise ParseError(f"bad letter {token!r}: expected a<label> or b<label>")
         side = LEFT if match.group(1) == "a" else RIGHT
-        letters.append((side, int(match.group(2))))
+        try:
+            letters.append((side, int(match.group(2))))
+        except ValueError as exc:  # more digits than int() accepts
+            raise ParseError(f"label of {token!r} is too long") from exc
     return tuple(letters)
 
 
-def _rational_rows(rows):
-    return [[rational_to_json(v) for v in row] for row in rows]
+def _ij_word(il, jl) -> str:
+    """The canonical IJ-word: left labels ``il``, then right labels ``jl``."""
+    return word_to_str(tuple((LEFT, i) for i in il) + tuple((RIGHT, j) for j in jl))
+
+
+_TABLE_KINDS = {"two_bands_pair": TwoBandsTable, "partial_r_table": PartialRTable}
 
 
 def _document(obj) -> dict:
-    if isinstance(obj, TwoBandsTable):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "two_bands_pair",
-            "values": _rational_rows(obj.values),
-        }
-    if isinstance(obj, PartialRTable):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "partial_r_table",
-            "values": _rational_rows(obj.values),
-        }
+    for kind, cls in _TABLE_KINDS.items():
+        if isinstance(obj, cls):
+            return {
+                "format_version": FORMAT_VERSION,
+                "kind": kind,
+                "values": [[rational_to_json(v) for v in row] for row in obj.values],
+            }
     if isinstance(obj, Rank1System):
         lam = [
             [rational_to_json(obj.coefficient(i, j)) for j in obj.right_indices]
             for i in obj.left_indices
         ]
         two_bands = {
-            word_to_str(tuple((LEFT, i) for i in il) + tuple((RIGHT, j) for j in jl)): (
-                rational_to_json(v)
-            )
-            for (il, jl), v in obj.two_bands.items()
+            _ij_word(il, jl): rational_to_json(v) for (il, jl), v in obj.two_bands.items()
         }
         return {
             "format_version": FORMAT_VERSION,
@@ -161,15 +162,26 @@ def _int_list(doc, field):
     return value
 
 
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"key {key!r} repeated in one object")
+        obj[key] = value
+    return obj
+
+
 def from_json(text: str):
     """Parse a document into its domain object.
 
     Returns a TwoBandsTable, PartialRTable, Rank1System, or a tuple of
     moments according to the document kind.
     """
+    # ValueError covers JSONDecodeError, a repeated key and an integer
+    # literal over the interpreter's digit limit; RecursionError, deep nesting
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
@@ -177,12 +189,9 @@ def from_json(text: str):
         raise ParseError(f"unsupported format_version {doc.get('format_version')!r}")
     kind = doc.get("kind")
 
-    if kind == "two_bands_pair":
+    if isinstance(kind, str) and kind in _TABLE_KINDS:
         _require_keys(doc, {"format_version", "kind", "values"})
-        return TwoBandsTable(_values_grid(doc))
-    if kind == "partial_r_table":
-        _require_keys(doc, {"format_version", "kind", "values"})
-        return PartialRTable(_values_grid(doc))
+        return _TABLE_KINDS[kind](_values_grid(doc))
     if kind == "moment_seq":
         _require_keys(doc, {"format_version", "kind", "moments"})
         moments = doc["moments"]
@@ -227,9 +236,7 @@ def from_json(text: str):
             letters = parse_word(key)
             il = tuple(label for side, label in letters if side == LEFT)
             jl = tuple(label for side, label in letters if side == RIGHT)
-            if word_to_str(
-                tuple((LEFT, i) for i in il) + tuple((RIGHT, j) for j in jl)
-            ) != " ".join(key.split()):
+            if _ij_word(il, jl) != " ".join(key.split()):
                 raise ParseError(f"two_bands key {key!r} is not a canonical IJ-word")
             if (il, jl) in two_bands:
                 raise ParseError(f"two_bands key {key!r} repeats an earlier word")

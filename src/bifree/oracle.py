@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from types import MappingProxyType
 
 from .partial_r import TwoBandsTable
 from .series import as_fraction
@@ -138,8 +139,8 @@ class TwoFacedPairRep:
         if dim < 1:
             raise ValueError("a pair representation needs dimension >= 1")
         self.dim = dim
-        self.left_ops = {k: self._check(m) for k, m in dict(left_ops).items()}
-        self.right_ops = {k: self._check(m) for k, m in dict(right_ops).items()}
+        self.left_ops = MappingProxyType({k: self._check(m) for k, m in dict(left_ops).items()})
+        self.right_ops = MappingProxyType({k: self._check(m) for k, m in dict(right_ops).items()})
         if reliable is None:
             self.reliable = tuple(range(dim))
         else:
@@ -224,29 +225,13 @@ class ProductState:
         return {w: v for w, v in out.items() if v}
 
     def apply_right(self, k, mat, vec: dict) -> dict:
-        """Mirror of :meth:`apply_left`, acting on the last tensor slot."""
-        factor = self._factor(k)
-        cols = tuple(zip(*factor._check(mat)))
-        dim = factor.dim
-        out: dict = {}
-        for word, c in vec.items():
-            if word and word[-1][0] == k:
-                col = cols[word[-1][1]]
-                rest = word[:-1]
-                if col[0]:
-                    _bump(out, rest, c * col[0])
-                for r in range(1, dim):
-                    if col[r]:
-                        _bump(out, rest + ((k, r),), c * col[r])
-            else:
-                col = cols[0]
-                if col[0]:
-                    _bump(out, word, c * col[0])
-                if len(word) < self.max_word_len:
-                    for r in range(1, dim):
-                        if col[r]:
-                            _bump(out, word + ((k, r),), c * col[r])
-        return {w: v for w, v in out.items() if v}
+        """Apply the right representation, acting on the last tensor slot.
+
+        Reversing every word swaps the first and the last slot, so this is
+        the left action conjugated by reversal.  Reversal maps the words of
+        length <= max_word_len onto themselves, so the truncation agrees.
+        """
+        return _reversed(self.apply_left(k, mat, _reversed(vec)))
 
     def basis(self) -> list:
         """Deterministic basis enumeration: by length, then factor indices,
@@ -324,6 +309,28 @@ def _bump(d: dict, key, value):
     d[key] = value if cur is None else cur + value
 
 
+def _reversed(vec: dict) -> dict:
+    """The vector with every word key read backwards."""
+    return {word[::-1]: c for word, c in vec.items()}
+
+
+def _columns(ops, labels, dim: int, length: int) -> dict:
+    """{(j1, .., jq): ops[j1] .. ops[jq] e0} for every word over ``labels``
+    with q <= length, each built from its suffix one operator at a time.
+
+    Rows come out too: e0^T a_{i1} .. a_{ip} is the column of the
+    transposed operators on the reversed word (i_p, .., i_1).
+    """
+    frontier = {(): basis_vector(dim)}
+    cols = dict(frontier)
+    for _ in range(length):
+        frontier = {
+            (j,) + word: matvec(ops[j], vec) for word, vec in frontier.items() for j in labels
+        }
+        cols.update(frontier)
+    return cols
+
+
 def shift_pair_rep(dim: int, omega) -> TwoFacedPairRep:
     """Pair (a S + b S*, c S + d S*) built from the truncated shift on Q^dim.
 
@@ -399,28 +406,21 @@ def gaussian_pair_rep(h_left, hs_left, h_right, hs_right, fock_cutoff: int) -> T
     return TwoFacedPairRep(dim, {0: left}, {0: right}, reliable=reliable)
 
 
-def two_bands_table(rep: TwoFacedPairRep, box, left=0, right=0) -> TwoBandsTable:
-    """Moments phi(a^m b^n) of one declared pair on the factor's own space."""
+def two_bands_table(rep: TwoFacedPairRep, box) -> TwoBandsTable:
+    """Moments phi(a^m b^n) of the pair labelled 0 on the factor's own space."""
     m, n = box
-    a = rep.operator(LEFT, left)
-    b = rep.operator(RIGHT, right)
-    vec = basis_vector(rep.dim)
-    values = [[Fraction(0)] * (n + 1) for _ in range(m + 1)]
-    for j in range(n + 1):
-        if j:
-            vec = matvec(b, vec)
-        w = vec
-        values[0][j] = w[0]
-        for i in range(1, m + 1):
-            w = matvec(a, w)
-            values[i][j] = w[0]
-    return TwoBandsTable(values)
+    a_t = tuple(zip(*rep.operator(LEFT, 0)))
+    rows = _columns({0: a_t}, (0,), rep.dim, m)
+    cols = _columns({0: rep.operator(RIGHT, 0)}, (0,), rep.dim, n)
+    return TwoBandsTable(
+        [[inner(rows[(0,) * p], cols[(0,) * q]) for q in range(n + 1)] for p in range(m + 1)]
+    )
 
 
-def sum_two_bands_table(product: ProductState, box, left=0, right=0) -> TwoBandsTable:
+def sum_two_bands_table(product: ProductState, box) -> TwoBandsTable:
     """Moments phi((sum_k a_k)^m (sum_k b_k)^n) of the lifted variable sums.
 
-    The factors must share the operator labels; exactness requires
+    Every factor must declare the pair labelled 0; exactness requires
     m + n <= max_word_len on the whole box.
     """
     m, n = box
@@ -433,10 +433,10 @@ def sum_two_bands_table(product: ProductState, box, left=0, right=0) -> TwoBands
     vec = product.vacuum()
     for j in range(n + 1):
         if j:
-            vec = product.apply_sum(RIGHT, right, vec)
+            vec = product.apply_sum(RIGHT, 0, vec)
         w = vec
         values[0][j] = product.expectation(w)
         for i in range(1, m + 1):
-            w = product.apply_sum(LEFT, left, w)
+            w = product.apply_sum(LEFT, 0, w)
             values[i][j] = product.expectation(w)
     return TwoBandsTable(values)

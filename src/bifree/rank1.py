@@ -18,18 +18,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
 
 from .oracle import (
     LEFT,
     RIGHT,
     TwoFacedPairRep,
     _bump,
-    basis_vector,
+    _columns,
     commutator,
     inner,
-    matvec,
     state_projector,
-    vecmat,
 )
 from .partial_r import TwoBandsTable, biconvolve
 from .series import as_fraction
@@ -80,14 +79,15 @@ class Rank1System:
         self.cap = int(cap)
         if self.cap < 0:
             raise ValueError("cap must be nonnegative")
-        self.lam = {}
+        coefficients = {}
         for (i, j), v in dict(lam).items():
             if i not in self.left_indices or j not in self.right_indices:
                 raise ValueError(f"lambda entry for unknown index pair ({i!r}, {j!r})")
             v = as_fraction(v)
             if v:
-                self.lam[(i, j)] = v
-        self.two_bands = {}
+                coefficients[(i, j)] = v
+        self.lam = MappingProxyType(coefficients)
+        moments = {}
         for (il, jl), v in dict(two_bands).items():
             il, jl = tuple(il), tuple(jl)
             if len(il) + len(jl) > self.cap:
@@ -96,9 +96,10 @@ class Rank1System:
                 j not in self.right_indices for j in jl
             ):
                 raise ValueError(f"word {il + jl} uses undeclared indices")
-            self.two_bands[(il, jl)] = as_fraction(v)
-        if self.two_bands.get(((), ())) != 1:
+            moments[(il, jl)] = as_fraction(v)
+        if moments.get(((), ())) != 1:
             raise ValueError("two_bands must contain the empty word with value 1")
+        self.two_bands = MappingProxyType(moments)
 
     def coefficient(self, i, j) -> Fraction:
         return self.lam.get((i, j), Fraction(0))
@@ -116,21 +117,20 @@ class Rank1System:
             raise CapExceeded(f"two-bands moment for {key} not stored") from None
 
     @classmethod
-    def from_table(cls, table: TwoBandsTable, lam_value, left_index=0, right_index=0):
-        """Single-pair system from a rectangular moment table.
+    def from_table(cls, table: TwoBandsTable, lam_value):
+        """Single-pair system, both labels 0, from a rectangular moment table.
 
         Stores every phi(a^p b^q) with p <= left order, q <= right order of
         the table; the cap is the sum of the orders, so rectangular lookups
         stay within the diagonal cap discipline.
         """
-        i, j = left_index, right_index
         two_bands = {
-            ((i,) * p, (j,) * q): table.values[p][q]
+            ((0,) * p, (0,) * q): table.values[p][q]
             for p in range(table.left_order + 1)
             for q in range(table.right_order + 1)
         }
         return cls(
-            (i,), (j,), {(i, j): lam_value}, two_bands, table.left_order + table.right_order
+            (0,), (0,), {(0, 0): lam_value}, two_bands, table.left_order + table.right_order
         )
 
     def table(self, box) -> TwoBandsTable:
@@ -257,32 +257,16 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
     left_labels = tuple(sorted(rep.left_ops))
     right_labels = tuple(sorted(rep.right_ops))
 
-    # phi(a_{i1}..a_{ip} b_{j1}..b_{jq}) = row(i-word) . col(j-word), built by
-    # extending prefixes of rows and suffixes of columns one operator at a time.
-    cols = {(): basis_vector(dim)}
-    frontier = {(): basis_vector(dim)}
-    for _ in range(cap):
-        nxt = {}
-        for w, vec in frontier.items():
-            for j in right_labels:
-                nxt[(j,) + w] = matvec(rep.right_ops[j], vec)
-        cols.update(nxt)
-        frontier = nxt
-
-    rows = {(): basis_vector(dim)}
-    frontier = {(): basis_vector(dim)}
-    for _ in range(cap):
-        nxt = {}
-        for w, vec in frontier.items():
-            for i in left_labels:
-                nxt[w + (i,)] = vecmat(vec, rep.left_ops[i])
-        rows.update(nxt)
-        frontier = nxt
+    # phi(a_{i1}..a_{ip} b_{j1}..b_{jq}) = row(i-word) . col(j-word); a row is
+    # the column of the transposed left operators on the reversed word.
+    cols = _columns(rep.right_ops, right_labels, dim, cap)
+    left_t = {i: tuple(zip(*a)) for i, a in rep.left_ops.items()}
+    rows = _columns(left_t, left_labels, dim, cap)
 
     two_bands = {}
     for p in range(cap + 1):
         for iw in product(left_labels, repeat=p):
-            row = rows[iw]
+            row = rows[iw[::-1]]
             for q in range(cap + 1 - p):
                 for jw in product(right_labels, repeat=q):
                     two_bands[(iw, jw)] = inner(row, cols[jw])

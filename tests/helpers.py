@@ -7,6 +7,7 @@ route than the library code it checks.
 
 from fractions import Fraction as F
 
+from bifree.oracle import rational_matrix
 from bifree.partial_r import PartialRTable, TwoBandsTable, compute_partial_r
 from bifree.series import NotInvertible, Series1
 
@@ -56,3 +57,35 @@ def antidiagonal_inverse(r: PartialRTable) -> TwoBandsTable:
             j = d - i
             vals[i][j] = r.values[i][j] - partial.values[i][j]
     return TwoBandsTable(vals)
+
+
+def mirrored_apply_right(product, k, mat, vec: dict) -> dict:
+    """The right action of factor k's ``mat`` on ``product``, written out as
+    the mirror image of ProductState.apply_left: the last tensor slot is
+    read and written where apply_left reads and writes the first.
+    """
+    dim = product.factors[k].dim
+    cols = tuple(zip(*rational_matrix(mat)))
+    out: dict = {}
+
+    def bump(word, value):
+        out[word] = out.get(word, 0) + value
+
+    for word, c in vec.items():
+        if word and word[-1][0] == k:
+            col = cols[word[-1][1]]
+            rest = word[:-1]
+            if col[0]:
+                bump(rest, c * col[0])
+            for r in range(1, dim):
+                if col[r]:
+                    bump(rest + ((k, r),), c * col[r])
+        else:
+            col = cols[0]
+            if col[0]:
+                bump(word, c * col[0])
+            if len(word) < product.max_word_len:
+                for r in range(1, dim):
+                    if col[r]:
+                        bump(word + ((k, r),), c * col[r])
+    return {w: v for w, v in out.items() if v}

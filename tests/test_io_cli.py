@@ -2,9 +2,12 @@
 
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifree.cli import main
 from bifree.io import (
@@ -20,9 +23,12 @@ from bifree.io import (
 from bifree.oracle import LEFT, RIGHT, shift_pair_rep
 from bifree.partial_r import PartialRTable, TwoBandsTable, compute_partial_r
 from bifree.rank1 import Rank1System, extract_system
+from bifree.transforms import BadNormalization
 from helpers import random_table
 
 ENTRIES = dict(lo=-9, hi=9, denominators=(1, 2, 3))
+# The most digits int() reads from a string; 0 when the interpreter sets no limit.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 # -- rationals --
@@ -33,9 +39,15 @@ def test_rational_codec():
     assert rational_to_json(F(-7, 2)) == "-7/2"
     assert rational_from_json(3) == F(3)
     assert rational_from_json("-7/2") == F(-7, 2)
-    for bad in (1.5, True, None, [1]):
+    assert rational_from_json("12/8") == F(3, 2)
+    assert rational_from_json("-5") == F(-5)
+    bad_literals = ["1.5", "1e3", " 7 ", "1_000", "1e2000000", "1/0", "+3", "3/-2", "", "\u0661"]
+    for bad in [1.5, True, None, [1]] + bad_literals:
         with pytest.raises(ParseError):
             rational_from_json(bad)
+    if DIGIT_LIMIT:
+        with pytest.raises(ParseError):
+            rational_from_json("7" * (DIGIT_LIMIT + 1))
 
 
 def test_word_codec():
@@ -47,6 +59,11 @@ def test_word_codec():
         parse_word("c3")
     with pytest.raises(ParseError):
         parse_word("a")
+    with pytest.raises(ParseError):
+        parse_word("a\u0661")  # a non-ASCII digit
+    if DIGIT_LIMIT:
+        with pytest.raises(ParseError):
+            parse_word("a" + "1" * (DIGIT_LIMIT + 1))
 
 
 # -- document round-trips --
@@ -107,6 +124,20 @@ def test_version_and_kind_checked():
         from_json("not json")
     with pytest.raises(ParseError):
         from_json('{"format_version": "1", "kind": "two_bands_pair", "values": [[1, 2], [3]]}')
+    for kind in ("[]", "{}", '["two_bands_pair"]', "null", "1"):
+        with pytest.raises(ParseError):
+            from_json(f'{{"format_version": "1", "kind": {kind}, "values": [[1]]}}')
+    # a field written twice; json.dumps cannot produce this, so it is raw text
+    with pytest.raises(ParseError):
+        from_json('{"format_version": "1", "kind": "moment_seq", "moments": [1], "moments": [1]}')
+    with pytest.raises(ParseError):
+        from_json('{"format_version": "1", "kind": "moment_seq", "moments": ["1.5"]}')
+    if DIGIT_LIMIT:
+        big = "7" * (DIGIT_LIMIT + 1)
+        with pytest.raises(ParseError):
+            from_json(f'{{"format_version": "1", "kind": "moment_seq", "moments": [1, {big}]}}')
+    with pytest.raises(ParseError):
+        from_json("[" * 100_000)
 
 
 def test_noncanonical_two_bands_word_rejected():
@@ -120,6 +151,35 @@ def test_noncanonical_two_bands_word_rejected():
     doc["two_bands"][" a0"] = doc["two_bands"]["a0"]
     with pytest.raises(ParseError):
         from_json(json.dumps(doc))
+    # one key written twice: the second value would silently win
+    text = to_json(system)
+    assert '"a0": 0,' in text
+    with pytest.raises(ParseError):
+        from_json(text.replace('"a0": 0,', '"a0": 5,\n    "a0": 0,'))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+FIELDS = ("values", "moments", "left_indices", "right_indices", "lambda", "cap", "two_bands")
+KINDS = ("two_bands_pair", "partial_r_table", "moment_seq", "rank1_system")
+
+
+@given(
+    st.fixed_dictionaries(
+        {"format_version": st.just("1"), "kind": st.sampled_from(KINDS) | JSON_VALUES},
+        optional={field: JSON_VALUES for field in FIELDS},
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_from_json_raises_only_its_own_errors(doc):
+    try:
+        from_json(json.dumps(doc))
+    except (ParseError, BadNormalization):
+        pass
 
 
 # -- CLI --

@@ -26,6 +26,7 @@ from bifree.oracle import (
     two_bands_table,
 )
 from bifree.partial_r import TwoBandsTable, biconvolve
+from helpers import mirrored_apply_right
 
 
 def rand_rep(rng, dim, lo=-2, hi=2):
@@ -177,7 +178,43 @@ def test_factor_mismatch():
     with pytest.raises(FactorMismatch):
         p.apply_left(0, identity_matrix(3), p.vacuum())
     with pytest.raises(FactorMismatch):
+        p.apply_right(5, identity_matrix(2), p.vacuum())
+    with pytest.raises(FactorMismatch):
+        p.apply_right(0, identity_matrix(3), p.vacuum())
+    with pytest.raises(FactorMismatch):
         p.factors[0].operator(LEFT, 9)
+
+
+def random_vector(rng, p, terms):
+    """Random coefficients on random words of every length up to max_word_len."""
+    vec = {}
+    for _ in range(terms):
+        word = []
+        for _ in range(rng.randint(0, p.max_word_len)):
+            ks = [k for k, f in enumerate(p.factors) if f.dim > 1]
+            ks = [k for k in ks if not word or k != word[-1][0]]
+            if not ks:
+                break
+            k = rng.choice(ks)
+            word.append((k, rng.randint(1, p.factors[k].dim - 1)))
+        vec[tuple(word)] = F(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))
+    return vec
+
+
+def test_apply_right_matches_mirrored_loop():
+    # the reversal route against the mirrored loop it replaced, on vectors
+    # that reach the truncation length
+    rng = random.Random(20)
+    at_length = 0
+    for _ in range(60):
+        dims = [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]
+        p = ProductState([rand_rep(rng, d) for d in dims], max_word_len=rng.randint(2, 5))
+        vec = random_vector(rng, p, terms=8)
+        at_length += any(len(w) == p.max_word_len for w in vec)
+        for k, d in enumerate(dims):
+            mat = [[F(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
+            assert p.apply_right(k, mat, vec) == mirrored_apply_right(p, k, mat, vec)
+    assert at_length >= 30
 
 
 def test_basis_enumeration_is_deterministic():
@@ -213,8 +250,13 @@ def test_operators_are_immutable():
         rep.left_ops[0][0][0] = F(5)
     with pytest.raises(TypeError):
         rep.left_ops[0][0, 0] = F(5)
+    with pytest.raises(TypeError):
+        rep.left_ops[0] = ((9, 9), (9, 9))
+    with pytest.raises(TypeError):
+        rep.right_ops[1] = ((9, 9), (9, 9))
     assert rep.left_ops[0] == ((1, 2), (3, 4))
     assert rep.moment([(LEFT, 0)]) == 1
+    assert set(rep.right_ops) == {0}
 
 
 def test_import_loads_only_the_standard_library():
@@ -235,6 +277,20 @@ def test_import_loads_only_the_standard_library():
 
 
 # -- model builders --
+
+
+def test_two_bands_table_matches_moment():
+    # rows of transposes times columns, against a chain of matvec calls
+    rng = random.Random(21)
+    for _ in range(30):
+        rep = rand_rep(rng, rng.randint(1, 4))
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        table = two_bands_table(rep, (m, n))
+        assert table.box == (m, n)
+        for i in range(m + 1):
+            for j in range(n + 1):
+                word = [(LEFT, 0)] * i + [(RIGHT, 0)] * j
+                assert table.values[i][j] == rep.moment(word)
 
 
 def test_shift_identity_omega_gives_shift_pair():

@@ -184,12 +184,51 @@ def test_extract_commuting_pair_is_bipartite():
     assert system.lam == {}
 
 
+def test_extracted_moments_match_the_model():
+    # two labels a side, so rows must be read on the right words: every
+    # stored phi(a_{i1}..a_{ip} b_{j1}..b_{jq}) against a chain of matvec calls
+    dim = 4
+    shift = [[int(r == c + 1) for c in range(dim)] for r in range(dim)]
+
+    def combo(x, y):
+        return [[x * shift[r][c] + y * shift[c][r] for c in range(dim)] for r in range(dim)]
+
+    rep = TwoFacedPairRep(
+        dim,
+        {0: combo(1, 2), 1: combo(-1, 3)},
+        {0: combo(2, -1), 1: combo(1, 1)},
+        reliable=range(dim - 1),
+    )
+    system = extract_system(rep, cap=4)
+    assert len(system.two_bands) == sum((d + 1) * 2**d for d in range(5))  # 129
+    for (il, jl), value in system.two_bands.items():
+        assert value == rep.moment([a(i) for i in il] + [b(j) for j in jl])
+    assert system.lam == {
+        (i, j): F(y * u - x * v)
+        for i, (x, y) in enumerate(((1, 2), (-1, 3)))
+        for j, (u, v) in enumerate(((2, -1), (1, 1)))
+    }
+
+
 def test_extract_rejects_higher_rank_commutators():
     x = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
     y = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
     rep = TwoFacedPairRep(3, {0: x}, {0: y})
     with pytest.raises(NotRank1):
         extract_system(rep, cap=3)
+
+
+def test_systems_are_immutable():
+    system = extract_system(shift_pair_rep(4, [[1, 2], [3, 1]]), cap=4)
+    with pytest.raises(TypeError):
+        system.two_bands[((), ())] = 7
+    with pytest.raises(TypeError):
+        system.lam[(0, 0)] = 99
+    with pytest.raises(TypeError):
+        system.lam[(0, 1)] = 99
+    assert system.phi((), ()) == 1
+    assert system.coefficient(0, 0) == 5
+    assert system.lam == {(0, 0): F(5)}
 
 
 def test_phi_of_projector_is_one():
