@@ -110,22 +110,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+# Exit code of each error a command may raise, tried in order: BadNormalization
+# and BoxMismatch are ValueErrors too, so they come before ValueError.
+_EXIT_CODES = (
+    (BadNormalization, 3),
+    (BoxMismatch, 4),
+    (CapExceeded, 5),
+    ((ParseError, OSError, ValueError), 2),
+)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except BadNormalization as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BoxMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (ParseError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        for types, code in _EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def entry():

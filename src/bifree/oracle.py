@@ -16,8 +16,8 @@ operator grows a word by at most one letter.
 
 Matrices are tuples of row tuples of ``fractions.Fraction``; the products
 below skip zero entries, which the sparse shift and Fock models are full of.
-Representations and product states are read-only after construction (the
-basis cache is filled at most once), so evaluations may run in parallel.
+Representations and product states are read-only after construction, so
+evaluations may run in parallel.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .partial_r import TwoBandsTable
-from .series import as_fraction
+from .series import as_fraction, check_orders
 
 __all__ = [
     "LEFT",
@@ -177,16 +177,15 @@ class TwoFacedPairRep:
 class ProductState:
     """Truncated free product of the factors' pointed spaces."""
 
-    __slots__ = ("factors", "max_word_len", "_basis")
+    __slots__ = ("factors", "max_word_len")
 
     def __init__(self, factors, max_word_len: int):
         self.factors = tuple(factors)
         if not self.factors:
             raise ValueError("need at least one factor")
-        if max_word_len < 0:
-            raise ValueError("max_word_len must be nonnegative")
+        if type(max_word_len) is not int or max_word_len < 0:
+            raise ValueError(f"max_word_len must be a nonnegative int, got {max_word_len!r}")
         self.max_word_len = max_word_len
-        self._basis = None
 
     def _factor(self, k) -> TwoFacedPairRep:
         if not 0 <= k < len(self.factors):
@@ -233,76 +232,6 @@ class ProductState:
         """
         return _reversed(self.apply_left(k, mat, _reversed(vec)))
 
-    def basis(self) -> list:
-        """Deterministic basis enumeration: by length, then factor indices,
-        then coordinate indices, all lexicographic.  Exponential in
-        max_word_len; meant for materializing small product spaces."""
-        if self._basis is not None:
-            return self._basis
-        words = [()]
-        nf = len(self.factors)
-        for length in range(1, self.max_word_len + 1):
-            for fseq in itertools.product(range(nf), repeat=length):
-                if any(fseq[i] == fseq[i + 1] for i in range(length - 1)):
-                    continue
-                ranges = [range(1, self.factors[k].dim) for k in fseq]
-                for coords in itertools.product(*ranges):
-                    words.append(tuple(zip(fseq, coords)))
-        self._basis = words
-        return words
-
-    def dim(self) -> int:
-        return len(self.basis())
-
-    def _materialize(self, apply_fn, k, mat) -> tuple:
-        words = self.basis()
-        index = {w: i for i, w in enumerate(words)}
-        out = [[Fraction(0)] * len(words) for _ in words]
-        for j, w in enumerate(words):
-            for image, v in apply_fn(k, mat, {w: Fraction(1)}).items():
-                out[index[image]][j] = v
-        return tuple(map(tuple, out))
-
-    def left_action(self, k, mat) -> tuple:
-        """Matrix of the left representation over :meth:`basis`."""
-        return self._materialize(self.apply_left, k, mat)
-
-    def right_action(self, k, mat) -> tuple:
-        return self._materialize(self.apply_right, k, mat)
-
-    def joint_moment(self, word) -> Fraction:
-        """phi of a product of lifted variables.
-
-        ``word`` lists (side, factor, label) triples in product order.  The
-        length may not exceed max_word_len: beyond that the truncation could
-        leak into the result, so the call refuses instead.
-        """
-        word = tuple(word)
-        if len(word) > self.max_word_len:
-            raise TruncationUnsound(
-                f"word of length {len(word)} exceeds max_word_len {self.max_word_len}"
-            )
-        vec = self.vacuum()
-        for side, k, label in reversed(word):
-            mat = self._factor(k).operator(side, label)
-            if side == LEFT:
-                vec = self.apply_left(k, mat, vec)
-            else:
-                vec = self.apply_right(k, mat, vec)
-        return self.expectation(vec)
-
-    def apply_sum(self, side, label, vec: dict) -> dict:
-        """Apply sum_k (lift of factor k's operator ``label``) on ``side``."""
-        out: dict = {}
-        for k, factor in enumerate(self.factors):
-            mat = factor.operator(side, label)
-            image = (
-                self.apply_left(k, mat, vec) if side == LEFT else self.apply_right(k, mat, vec)
-            )
-            for w, v in image.items():
-                _bump(out, w, v)
-        return {w: v for w, v in out.items() if v}
-
 
 def _bump(d: dict, key, value):
     cur = d.get(key)
@@ -312,23 +241,6 @@ def _bump(d: dict, key, value):
 def _reversed(vec: dict) -> dict:
     """The vector with every word key read backwards."""
     return {word[::-1]: c for word, c in vec.items()}
-
-
-def _columns(ops, labels, dim: int, length: int) -> dict:
-    """{(j1, .., jq): ops[j1] .. ops[jq] e0} for every word over ``labels``
-    with q <= length, each built from its suffix one operator at a time.
-
-    Rows come out too: e0^T a_{i1} .. a_{ip} is the column of the
-    transposed operators on the reversed word (i_p, .., i_1).
-    """
-    frontier = {(): basis_vector(dim)}
-    cols = dict(frontier)
-    for _ in range(length):
-        frontier = {
-            (j,) + word: matvec(ops[j], vec) for word, vec in frontier.items() for j in labels
-        }
-        cols.update(frontier)
-    return cols
 
 
 def shift_pair_rep(dim: int, omega) -> TwoFacedPairRep:
@@ -407,36 +319,54 @@ def gaussian_pair_rep(h_left, hs_left, h_right, hs_right, fock_cutoff: int) -> T
 
 
 def two_bands_table(rep: TwoFacedPairRep, box) -> TwoBandsTable:
-    """Moments phi(a^m b^n) of the pair labelled 0 on the factor's own space."""
+    """Moments phi(a^m b^n) of the pair labelled 0 on the factor's own space.
+
+    This is the free product of the one factor: its words alternate
+    factors, so none is longer than one letter and the product space is
+    the factor's own.
+    """
     m, n = box
-    a_t = tuple(zip(*rep.operator(LEFT, 0)))
-    rows = _columns({0: a_t}, (0,), rep.dim, m)
-    cols = _columns({0: rep.operator(RIGHT, 0)}, (0,), rep.dim, n)
-    return TwoBandsTable(
-        [[inner(rows[(0,) * p], cols[(0,) * q]) for q in range(n + 1)] for p in range(m + 1)]
-    )
+    check_orders(m, n)
+    return sum_two_bands_table(ProductState([rep], m + n), box)
 
 
 def sum_two_bands_table(product: ProductState, box) -> TwoBandsTable:
     """Moments phi((sum_k a_k)^m (sum_k b_k)^n) of the lifted variable sums.
 
     Every factor must declare the pair labelled 0; exactness requires
-    m + n <= max_word_len on the whole box.
+    m + n <= max_word_len on the whole box.  Entry (p, q) pairs the row
+    Omega^T A^p with the column B^q Omega, for A and B the summed left and
+    right lifts.  The row is the column of the transposed left operators,
+    because on the word basis the lift of a transpose is the transpose of
+    the lift.
     """
     m, n = box
+    check_orders(m, n)
     if m + n > product.max_word_len:
         raise TruncationUnsound(
             f"box {box} needs words of length {m + n} but max_word_len is "
             f"{product.max_word_len}"
         )
-    values = [[Fraction(0)] * (n + 1) for _ in range(m + 1)]
-    vec = product.vacuum()
-    for j in range(n + 1):
-        if j:
-            vec = product.apply_sum(RIGHT, 0, vec)
-        w = vec
-        values[0][j] = product.expectation(w)
-        for i in range(1, m + 1):
-            w = product.apply_sum(LEFT, 0, w)
-            values[i][j] = product.expectation(w)
-    return TwoBandsTable(values)
+    left_t = [tuple(zip(*f.operator(LEFT, 0))) for f in product.factors]
+    right = [f.operator(RIGHT, 0) for f in product.factors]
+    rows = _band(product.vacuum(), product.apply_left, left_t, m)
+    cols = _band(product.vacuum(), product.apply_right, right, n)
+    return TwoBandsTable([[_pair(row, col) for col in cols] for row in rows])
+
+
+def _band(vec: dict, apply, ops, length: int) -> list:
+    """[vec, X vec, .., X^length vec] for X the sum over k of apply(k, ops[k], .)."""
+    band = [vec]
+    for _ in range(length):
+        out: dict = {}
+        for k, mat in enumerate(ops):
+            for w, v in apply(k, mat, vec).items():
+                _bump(out, w, v)
+        vec = {w: v for w, v in out.items() if v}
+        band.append(vec)
+    return band
+
+
+def _pair(u: dict, v: dict) -> Fraction:
+    """sum_w u[w] v[w], over the words both vectors hold."""
+    return sum((c * v[w] for w, c in u.items() if w in v), Fraction(0))

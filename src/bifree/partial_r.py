@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import BoxMismatch, Series1, Series2, as_fraction
+from .series import BoxMismatch, Series1, Series2
 from .transforms import BadNormalization, _tower_revert
 
 __all__ = [
@@ -69,13 +69,6 @@ class TwoBandsTable(Series2):
     def b_moments(self) -> tuple[Fraction, ...]:
         return self.values[0]
 
-    @classmethod
-    def product(cls, a_moments, b_moments) -> "TwoBandsTable":
-        """Table of a pair with classically independent faces."""
-        a = tuple(as_fraction(x) for x in a_moments)
-        b = tuple(as_fraction(x) for x in b_moments)
-        return cls(tuple(tuple(am * bn for bn in b) for am in a))
-
 
 class PartialRTable(Series2):
     """Two-bands bi-free cumulants R[m][n]; the (0, 0) slot is fixed to 0.
@@ -98,12 +91,11 @@ class PartialRTable(Series2):
         return self.values[0]
 
 
-def _frame(pa: Series1, pb: Series1, box):
-    """(pa + pb - 1, pa * pb) on the box, for pa = 1 + z ra(z), pb = 1 + w rb(w)."""
-    m, n = box
-    left = Series2.from_left(pa, n)
-    right = Series2.from_right(pb, m)
-    return left + right - 1, left * right
+def _frame(pa: Series1, pb: Series1):
+    """(pa + pb - 1, pa * pb) for pa = 1 + z ra(z) in z and pb = 1 + w rb(w) in w."""
+    linear = [[pa[i]] + [Fraction(0)] * pb.order for i in range(pa.order + 1)]
+    linear[0] = [pa[0] + pb[0] - 1] + list(pb.coeffs[1:])
+    return Series2(linear), Series2.product(pa, pb)
 
 
 def compute_partial_r(table: TwoBandsTable) -> PartialRTable:
@@ -115,7 +107,7 @@ def compute_partial_r(table: TwoBandsTable) -> PartialRTable:
     ka = _tower_revert(Series1(table.a_moments()))
     kb = _tower_revert(Series1(table.b_moments()))
     pa, pb = ka.shift_down().reciprocal(), kb.shift_down().reciprocal()
-    linear, product = _frame(pa, pb, table.box)
+    linear, product = _frame(pa, pb)
     frac = table.substitute(ka, kb).reciprocal()
     return PartialRTable((linear - product * frac).values)
 
@@ -130,7 +122,7 @@ def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
     """
     pa = Series1(r.a_cumulants()) + 1
     pb = Series1(r.b_cumulants()) + 1
-    linear, product = _frame(pa, pb, r.box)
+    linear, product = _frame(pa, pb)
     q = product * (linear - r).reciprocal()
     ga = _tower_revert(pa.reciprocal())
     gb = _tower_revert(pb.reciprocal())

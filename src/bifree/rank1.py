@@ -25,9 +25,10 @@ from .oracle import (
     RIGHT,
     TwoFacedPairRep,
     _bump,
-    _columns,
+    basis_vector,
     commutator,
     inner,
+    matvec,
     state_projector,
 )
 from .partial_r import TwoBandsTable, biconvolve
@@ -76,9 +77,9 @@ class Rank1System:
             set(self.right_indices)
         ) != len(self.right_indices):
             raise ValueError("index labels must be distinct")
-        self.cap = int(cap)
-        if self.cap < 0:
-            raise ValueError("cap must be nonnegative")
+        if type(cap) is not int or cap < 0:
+            raise ValueError(f"cap must be a nonnegative int, got {cap!r}")
+        self.cap = cap
         coefficients = {}
         for (i, j), v in dict(lam).items():
             if i not in self.left_indices or j not in self.right_indices:
@@ -226,6 +227,23 @@ def biconvolve_rank1(s1: Rank1System, s2: Rank1System) -> Rank1System:
                 two_bands[((i,) * u, (j,) * v)] = out.values[u][v]
     lam = {(i, j): s1.coefficient(i, j) + s2.coefficient(i, j)}
     return Rank1System((i,), (j,), lam, two_bands, s1.cap)
+
+
+def _columns(ops, labels, dim: int, length: int) -> dict:
+    """{(j1, .., jq): ops[j1] .. ops[jq] e0} for every word over ``labels``
+    with q <= length, each built from its suffix one operator at a time.
+
+    Rows come out too: e0^T a_{i1} .. a_{ip} is the column of the
+    transposed operators on the reversed word (i_p, .., i_1).
+    """
+    frontier = {(): basis_vector(dim)}
+    cols = dict(frontier)
+    for _ in range(length):
+        frontier = {
+            (j,) + word: matvec(ops[j], vec) for word, vec in frontier.items() for j in labels
+        }
+        cols.update(frontier)
+    return cols
 
 
 def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:

@@ -128,15 +128,10 @@ def check_subordination(rng, size):
 
 def _quotient(table, t_series, s_series):
     """h_a(t(.)) h_b(s(.)) / H(t(.), s(.)) as an exact two-variable series."""
-    box = table.box
     ha = Series1(table.a_moments()).compose(t_series)
     hb = Series1(table.b_moments()).compose(s_series)
     h2 = table.substitute(t_series, s_series)
-    return (
-        Series2.from_left(ha, box[1])
-        * Series2.from_right(hb, box[0])
-        * h2.reciprocal()
-    )
+    return Series2.product(ha, hb) * h2.reciprocal()
 
 
 def _rand_table(rng, box, lo=-2, hi=2):
@@ -193,8 +188,11 @@ SUITES = (
 def run_selfcheck(seed: int, size: int = 2, corrupt: bool = False):
     """Run every suite; returns (report text, all passed).
 
-    The report is a deterministic function of (seed, size, corrupt).
+    The report is a deterministic function of (seed, size, corrupt).  A
+    size below 1 would draw no instance, so it raises ValueError.
     """
+    if size < 1:
+        raise ValueError(f"selfcheck size must be >= 1, got {size}")
     lines = []
     passed = 0
     for name, check in SUITES:

@@ -239,19 +239,11 @@ class Series2:
         return cls.constant(1, left_order, right_order)
 
     @classmethod
-    def from_left(cls, f: Series1, right_order: int) -> "Series2":
-        """Embed a series in t as a two-variable series constant in s."""
-        check_orders(right_order)
-        rows = [[c] + [Fraction(0)] * right_order for c in f.coeffs]
-        return cls(rows)
-
-    @classmethod
-    def from_right(cls, g: Series1, left_order: int) -> "Series2":
-        """Embed a series in s as a two-variable series constant in t."""
-        check_orders(left_order)
-        rows = [list(g.coeffs)]
-        rows += [[Fraction(0)] * (g.order + 1) for _ in range(left_order)]
-        return cls(rows)
+    def product(cls, f, g):
+        """The series f(t) g(s) of coefficient sequences f in t and g in s."""
+        a = tuple(as_fraction(x) for x in f)
+        b = tuple(as_fraction(x) for x in g)
+        return cls(tuple(tuple(x * y for y in b) for x in a))
 
     @property
     def left_order(self) -> int:

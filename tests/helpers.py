@@ -1,13 +1,15 @@
 """Shared test inputs, and the reference algorithms the fast paths replaced.
 
-The references are the earlier fixed-point solvers, kept here only as
+The references are earlier algorithms of the library, kept here only as
 independent oracles: each reaches the same exact values by a different
-route than the library code it checks.
+route than the library code it checks.  The free-product references work on
+a ``ProductState`` through its two actions alone.
 """
 
+import itertools
 from fractions import Fraction as F
 
-from bifree.oracle import rational_matrix
+from bifree.oracle import LEFT, RIGHT, TruncationUnsound, rational_matrix
 from bifree.partial_r import PartialRTable, TwoBandsTable, compute_partial_r
 from bifree.series import NotInvertible, Series1
 
@@ -89,3 +91,83 @@ def mirrored_apply_right(product, k, mat, vec: dict) -> dict:
                     if col[r]:
                         bump(word + ((k, r),), c * col[r])
     return {w: v for w, v in out.items() if v}
+
+
+def basis(product) -> list:
+    """The words of ``product``: by length, then factor indices, then
+    coordinate indices, all lexicographic.  Exponential in max_word_len."""
+    words = [()]
+    nf = len(product.factors)
+    for length in range(1, product.max_word_len + 1):
+        for fseq in itertools.product(range(nf), repeat=length):
+            if any(fseq[i] == fseq[i + 1] for i in range(length - 1)):
+                continue
+            ranges = [range(1, product.factors[k].dim) for k in fseq]
+            for coords in itertools.product(*ranges):
+                words.append(tuple(zip(fseq, coords)))
+    return words
+
+
+def _materialize(product, apply_fn, k, mat) -> tuple:
+    words = basis(product)
+    index = {w: i for i, w in enumerate(words)}
+    out = [[F(0)] * len(words) for _ in words]
+    for j, w in enumerate(words):
+        for image, v in apply_fn(k, mat, {w: F(1)}).items():
+            out[index[image]][j] = v
+    return tuple(map(tuple, out))
+
+
+def left_action(product, k, mat) -> tuple:
+    """Matrix over basis(product) of the left representation of factor k's mat."""
+    return _materialize(product, product.apply_left, k, mat)
+
+
+def right_action(product, k, mat) -> tuple:
+    return _materialize(product, product.apply_right, k, mat)
+
+
+def apply_sum(product, side, label, vec: dict) -> dict:
+    """Apply sum_k (lift of factor k's operator ``label``) on ``side``."""
+    apply = product.apply_left if side == LEFT else product.apply_right
+    out: dict = {}
+    for k, factor in enumerate(product.factors):
+        for w, v in apply(k, factor.operator(side, label), vec).items():
+            out[w] = out.get(w, 0) + v
+    return {w: v for w, v in out.items() if v}
+
+
+def joint_moment(product, word) -> F:
+    """phi of a product of lifted variables.
+
+    ``word`` lists (side, factor, label) triples in product order; a word
+    longer than max_word_len could see the truncation, so it raises.
+    """
+    word = tuple(word)
+    if len(word) > product.max_word_len:
+        raise TruncationUnsound(
+            f"word of length {len(word)} exceeds max_word_len {product.max_word_len}"
+        )
+    vec = product.vacuum()
+    for side, k, label in reversed(word):
+        mat = product.factors[k].operator(side, label)
+        apply = product.apply_left if side == LEFT else product.apply_right
+        vec = apply(k, mat, vec)
+    return product.expectation(vec)
+
+
+def nested_sum_two_bands_table(product, box):
+    """phi((sum_k a_k)^m (sum_k b_k)^n) by applying the summed left operator
+    to every power of the summed right one applied to the vacuum."""
+    m, n = box
+    values = [[F(0)] * (n + 1) for _ in range(m + 1)]
+    vec = product.vacuum()
+    for j in range(n + 1):
+        if j:
+            vec = apply_sum(product, RIGHT, 0, vec)
+        w = vec
+        values[0][j] = product.expectation(w)
+        for i in range(1, m + 1):
+            w = apply_sum(product, LEFT, 0, w)
+            values[i][j] = product.expectation(w)
+    return TwoBandsTable(values)

@@ -33,7 +33,7 @@ from bifree.rank1 import extract_system, mixed_moment
 from bifree.selfcheck import _quotient
 from bifree.series import Series1
 from bifree.transforms import free_convolve1, subordination_series
-from helpers import random_table
+from helpers import apply_sum, basis, random_table
 
 
 def _report(line):
@@ -240,7 +240,7 @@ def test_criterion_9_commutator_transport():
     product = ProductState([rep_a, rep_b], max_word_len=4)
     safe_words = [
         w
-        for w in product.basis()
+        for w in basis(product)
         if len(w) <= product.max_word_len - 2
         and all(c in product.factors[k].reliable for k, c in w)
     ]
@@ -255,8 +255,8 @@ def test_criterion_9_commutator_transport():
         # summed pair: [a' + a'', b' + b''] = (lam' + lam'') P
         got = commutator_on(
             vec,
-            lambda v: product.apply_sum(LEFT, 0, v),
-            lambda v: product.apply_sum(RIGHT, 0, v),
+            lambda v: apply_sum(product, LEFT, 0, v),
+            lambda v: apply_sum(product, RIGHT, 0, v),
         )
         expected = {(): (lam_a + lam_b) * vec.get((), F(1))} if w == () else {}
         assert got == expected
@@ -305,7 +305,7 @@ def test_criterion_11_one_variable_sanity():
     oracle = [product.expectation(product.vacuum())]
     vec = product.vacuum()
     for n in range(8):
-        vec = product.apply_sum(LEFT, 0, vec)
+        vec = apply_sum(product, LEFT, 0, vec)
         oracle.append(product.expectation(vec))
     bernoulli = tuple(F(1 - k % 2) for k in range(9))
     got = free_convolve1(bernoulli, bernoulli)

@@ -318,6 +318,14 @@ def test_selfcheck_negative_control(capsys):
     assert "FAIL additivity-vs-oracle" in out
 
 
+def test_selfcheck_size_below_1_exits_2(capsys):
+    for size in ("0", "-3"):
+        assert main(["selfcheck", "--seed", "0", "--size", size]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "size must be >= 1" in captured.err
+
+
 def test_selfcheck_seed_env(monkeypatch, capsys):
     monkeypatch.setenv("BIFREE_SEED", "5")
     assert main(["selfcheck", "--size", "1"]) == 0

@@ -26,7 +26,16 @@ from bifree.oracle import (
     two_bands_table,
 )
 from bifree.partial_r import TwoBandsTable, biconvolve
-from helpers import mirrored_apply_right
+from bifree.series import NegativeOrder
+from helpers import (
+    apply_sum,
+    basis,
+    joint_moment,
+    left_action,
+    mirrored_apply_right,
+    nested_sum_two_bands_table,
+    right_action,
+)
 
 
 def rand_rep(rng, dim, lo=-2, hi=2):
@@ -47,10 +56,10 @@ def two_factor_product(rng, dims=(2, 3), max_word_len=6):
 def test_identity_lifts_to_identity():
     rng = random.Random(0)
     p = two_factor_product(rng, (2, 2), max_word_len=3)
-    n = p.dim()
+    n = len(basis(p))
     for k in range(2):
-        assert p.left_action(k, identity_matrix(2)) == identity_matrix(n)
-        assert p.right_action(k, identity_matrix(2)) == identity_matrix(n)
+        assert left_action(p, k, identity_matrix(2)) == identity_matrix(n)
+        assert right_action(p, k, identity_matrix(2)) == identity_matrix(n)
 
 
 def test_scalar_action_on_state_vector():
@@ -130,13 +139,13 @@ def test_joint_moment_basics():
     rng = random.Random(5)
     reps = [rand_rep(rng, 3), rand_rep(rng, 2)]
     p = ProductState(reps, max_word_len=5)
-    assert p.joint_moment([]) == 1
+    assert joint_moment(p, []) == 1
     # a single lifted variable keeps its factor moment
     for k, rep in enumerate(reps):
         for side in (LEFT, RIGHT):
             for power in range(1, 5):
                 word = [(side, k, 0)] * power
-                assert p.joint_moment(word) == rep.moment([(side, 0)] * power)
+                assert joint_moment(p, word) == rep.moment([(side, 0)] * power)
 
 
 def test_restriction_fidelity():
@@ -146,7 +155,7 @@ def test_restriction_fidelity():
     for k, rep in enumerate(reps):
         for sides in iproduct((LEFT, RIGHT), repeat=3):
             word = [(s, k, 0) for s in sides]
-            assert p.joint_moment(word) == rep.moment([(s, 0) for s in sides])
+            assert joint_moment(p, word) == rep.moment([(s, 0) for s in sides])
 
 
 def test_scalar_pair_sum():
@@ -165,9 +174,17 @@ def test_truncation_guard():
     rng = random.Random(7)
     p = two_factor_product(rng, (2, 2), max_word_len=3)
     with pytest.raises(TruncationUnsound):
-        p.joint_moment([(LEFT, 0, 0)] * 4)
+        joint_moment(p, [(LEFT, 0, 0)] * 4)
     with pytest.raises(TruncationUnsound):
         sum_two_bands_table(p, (2, 2))
+    for box in ((-1, 2), (2, -1), (-3, 1)):
+        with pytest.raises(NegativeOrder):
+            sum_two_bands_table(p, box)
+        with pytest.raises(NegativeOrder):
+            two_bands_table(p.factors[0], box)
+    for max_word_len in (2.5, True, -1, "3"):
+        with pytest.raises(ValueError):
+            ProductState(p.factors, max_word_len)
 
 
 def test_factor_mismatch():
@@ -220,27 +237,27 @@ def test_apply_right_matches_mirrored_loop():
 def test_basis_enumeration_is_deterministic():
     rng = random.Random(9)
     p = two_factor_product(rng, (2, 3), max_word_len=2)
-    words = p.basis()
+    words = basis(p)
     assert words[0] == ()
     lengths = [len(w) for w in words]
     assert lengths == sorted(lengths)
     # within a length: factor indices first, then coordinates, lexicographic
     assert words[1:5] == [((0, 1),), ((1, 1),), ((1, 2),), ((0, 1), (1, 1))]
     q = two_factor_product(random.Random(9), (2, 3), max_word_len=2)
-    assert q.basis() == words
+    assert basis(q) == words
 
 
 def test_cross_factor_commutators_vanish():
     rng = random.Random(10)
     reps = [rand_rep(rng, 2), rand_rep(rng, 3)]
     p = ProductState(reps, max_word_len=4)
-    a0 = p.left_action(0, reps[0].left_ops[0])
-    b1 = p.right_action(1, reps[1].right_ops[0])
-    n = p.dim()
+    a0 = left_action(p, 0, reps[0].left_ops[0])
+    b1 = right_action(p, 1, reps[1].right_ops[0])
+    n = len(basis(p))
     zero = ((F(0),) * n,) * n
     assert commutator(a0, b1) == zero
-    a1 = p.left_action(1, reps[1].left_ops[0])
-    b0 = p.right_action(0, reps[0].right_ops[0])
+    a1 = left_action(p, 1, reps[1].left_ops[0])
+    b0 = right_action(p, 0, reps[0].right_ops[0])
     assert commutator(a1, b0) == zero
 
 
@@ -344,12 +361,23 @@ def test_one_variable_convolution_against_oracle():
         oracle = [p.expectation(p.vacuum())]
         vec = p.vacuum()
         for _ in range(6):
-            vec = p.apply_sum(LEFT, 0, vec)
+            vec = apply_sum(p, LEFT, 0, vec)
             oracle.append(p.expectation(vec))
         factor_moments = [
             [rep.moment([(LEFT, 0)] * n) for n in range(7)] for rep in reps
         ]
         assert tuple(oracle) == free_convolve1(*factor_moments)
+
+
+def test_sum_two_bands_table_matches_nested_loop():
+    # left band against right band, against the loop it replaced: the summed
+    # left operator applied to every power of the summed right one
+    rng = random.Random(22)
+    for _ in range(60):
+        dims = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        m, n = rng.randint(0, 3), rng.randint(0, 3)
+        p = ProductState([rand_rep(rng, d) for d in dims], m + n + rng.randint(0, 1))
+        assert sum_two_bands_table(p, (m, n)) == nested_sum_two_bands_table(p, (m, n))
 
 
 def test_additivity_against_series_route():

@@ -26,6 +26,7 @@ from bifree.rank1 import (
     extract_system,
     mixed_moment,
 )
+from helpers import apply_sum, basis, left_action, right_action
 
 
 def a(label=0):
@@ -87,6 +88,9 @@ def test_cap_is_enforced():
         s.phi((0, 0, 0), (0, 0))
     with pytest.raises(CapExceeded):
         mixed_moment(s, [a()] * 5)
+    for cap in (2.9, True, -1, "4"):
+        with pytest.raises(ValueError):
+            Rank1System((0,), (0,), {}, {((), ()): F(1)}, cap)
 
 
 def _naive_normalize(system, word):
@@ -274,7 +278,7 @@ def test_biconvolve_rank1_matches_oracle_sum():
         word = [(s, 0) for s in sides]
         vec = p.vacuum()
         for side, _ in reversed(word):
-            vec = p.apply_sum(side, 0, vec)
+            vec = apply_sum(p, side, 0, vec)
         assert mixed_moment(out, word) == p.expectation(vec)
 
 
@@ -314,18 +318,18 @@ def test_biconvolve_rank1_commutes_with_extraction():
     p = ProductState([rep_a, rep_b], max_word_len=4)
     safe = [
         i
-        for i, w in enumerate(p.basis())
+        for i, w in enumerate(basis(p))
         if len(w) <= p.max_word_len - 2
         and all(c in p.factors[k].reliable for k, c in w)
     ]
     summed_left = matrix_sum(
-        p.left_action(0, rep_a.left_ops[0]), p.left_action(1, rep_b.left_ops[0])
+        left_action(p, 0, rep_a.left_ops[0]), left_action(p, 1, rep_b.left_ops[0])
     )
     summed_right = matrix_sum(
-        p.right_action(0, rep_a.right_ops[0]), p.right_action(1, rep_b.right_ops[0])
+        right_action(p, 0, rep_a.right_ops[0]), right_action(p, 1, rep_b.right_ops[0])
     )
     lifted = TwoFacedPairRep(
-        p.dim(), {0: summed_left}, {0: summed_right}, reliable=safe
+        len(basis(p)), {0: summed_left}, {0: summed_right}, reliable=safe
     )
     extracted = extract_system(lifted, cap=2)
     convolved = biconvolve_rank1(
@@ -344,14 +348,14 @@ def test_direct_sum_of_coefficient_matrices():
     p = ProductState([rep_a, rep_b], max_word_len=3)
     safe = [
         i
-        for i, w in enumerate(p.basis())
+        for i, w in enumerate(basis(p))
         if len(w) <= p.max_word_len - 2
         and all(c in p.factors[k].reliable for k, c in w)
     ]
     lifted = TwoFacedPairRep(
-        p.dim(),
-        {k: p.left_action(k, p.factors[k].left_ops[0]) for k in range(2)},
-        {k: p.right_action(k, p.factors[k].right_ops[0]) for k in range(2)},
+        len(basis(p)),
+        {k: left_action(p, k, p.factors[k].left_ops[0]) for k in range(2)},
+        {k: right_action(p, k, p.factors[k].right_ops[0]) for k in range(2)},
         reliable=safe,
     )
     system = extract_system(lifted, cap=3)

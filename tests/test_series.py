@@ -243,8 +243,6 @@ def test_truncate_rejects_negative_orders():
         lambda: Series2.constant(3, -1, 2),
         lambda: Series2.zero(2, -1),
         lambda: Series2.one(-1, 3),
-        lambda: Series2.from_left(Series1([1, 2]), -3),
-        lambda: Series2.from_right(Series1([1, 2]), -1),
     ]
     for build in constructors:
         with pytest.raises(NegativeOrder):
@@ -254,4 +252,3 @@ def test_truncate_rejects_negative_orders():
     assert h.truncate(0, 0) == Series2([[1]])
     assert Series1.zero(0) == Series1([0])
     assert Series2.one(0, 3).box == (0, 3)
-    assert Series2.from_left(Series1([1, 2]), 0).box == (1, 0)
