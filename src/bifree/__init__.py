@@ -48,7 +48,6 @@ from .rank1 import (
     NotRank1,
     Rank1System,
     UnsupportedIndexSets,
-    apply_T,
     biconvolve_rank1,
     extract_system,
     mixed_moment,
@@ -87,7 +86,6 @@ __all__ = [
     "two_bands_table",
     "sum_two_bands_table",
     "Rank1System",
-    "apply_T",
     "mixed_moment",
     "biconvolve_rank1",
     "extract_system",

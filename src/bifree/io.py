@@ -36,7 +36,6 @@ __all__ = [
     "to_json",
     "from_json",
     "load_path",
-    "save_path",
 ]
 
 FORMAT_VERSION = "1"
@@ -252,7 +251,3 @@ def load_path(path):
     with open(path, "r", encoding="utf-8") as handle:
         return from_json(handle.read())
 
-
-def save_path(path, obj):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_json(obj))

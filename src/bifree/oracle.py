@@ -38,7 +38,6 @@ __all__ = [
     "ProductState",
     "rational_matrix",
     "rational_vector",
-    "identity_matrix",
     "state_projector",
     "commutator",
     "inner",
@@ -76,10 +75,6 @@ def rational_matrix(rows) -> tuple:
 
 def basis_vector(dim: int, i: int = 0) -> tuple:
     return tuple(Fraction(int(r == i)) for r in range(dim))
-
-
-def identity_matrix(dim: int) -> tuple:
-    return tuple(basis_vector(dim, i) for i in range(dim))
 
 
 def state_projector(dim: int) -> tuple:

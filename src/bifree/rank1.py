@@ -39,7 +39,6 @@ __all__ = [
     "UnsupportedIndexSets",
     "NotRank1",
     "Rank1System",
-    "apply_T",
     "mixed_moment",
     "biconvolve_rank1",
     "extract_system",
@@ -56,6 +55,12 @@ class UnsupportedIndexSets(ValueError):
 
 class NotRank1(ValueError):
     """A commutator fails the lam * P shape where the model is reliable."""
+
+
+def _check_cap(cap) -> int:
+    if type(cap) is not int or cap < 0:
+        raise ValueError(f"cap must be a nonnegative int, got {cap!r}")
+    return cap
 
 
 class Rank1System:
@@ -77,9 +82,7 @@ class Rank1System:
             set(self.right_indices)
         ) != len(self.right_indices):
             raise ValueError("index labels must be distinct")
-        if type(cap) is not int or cap < 0:
-            raise ValueError(f"cap must be a nonnegative int, got {cap!r}")
-        self.cap = cap
+        self.cap = _check_cap(cap)
         coefficients = {}
         for (i, j), v in dict(lam).items():
             if i not in self.left_indices or j not in self.right_indices:
@@ -150,7 +153,7 @@ class Rank1System:
             )
 
 
-def apply_T(system: Rank1System, v: dict, letter) -> dict:
+def _apply_T(system: Rank1System, v: dict, letter) -> dict:
     """Right multiplication by the variable ``letter`` in canonical IJ form.
 
     A right letter appends to the right block.  A left letter moves to the
@@ -187,7 +190,7 @@ def mixed_moment(system: Rank1System, word) -> Fraction:
         labels = system.left_indices if side == LEFT else system.right_indices
         if k not in labels:
             raise ValueError(f"letter {letter!r} uses an undeclared index")
-        v = apply_T(system, v, letter)
+        v = _apply_T(system, v, letter)
     return sum((c * system.phi(il, jl) for (il, jl), c in v.items()), Fraction(0))
 
 
@@ -256,6 +259,7 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
     for truncation-built models the caller must keep cap within the range
     where those moments are exact.
     """
+    _check_cap(cap)
     dim = rep.dim
     proj = state_projector(dim)
     lam = {}

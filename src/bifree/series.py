@@ -7,12 +7,17 @@ variables), so the order of a value always states how far its coefficients
 are meaningful.  Higher coefficients of a truncation are *unknown*, not
 zero; for that reason series can be truncated but never padded.
 
+The two-variable product, reciprocal and substitution run on Python ints:
+each operand grid is scaled to integers over the LCM of its denominators,
+and one Fraction is built per output coefficient.
+
 Values are immutable and hashable and may be shared freely between threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 __all__ = [
     "Series1",
@@ -310,80 +315,112 @@ class Series2:
             c = as_fraction(other)
             return Series2(tuple(tuple(c * v for v in row) for row in self.values))
         m, n = self._min_box(other)
-        a, b = self.values, other.values
-        out = []
-        for p in range(m + 1):
-            row = []
-            for q in range(n + 1):
-                acc = Fraction(0)
-                for i in range(p + 1):
-                    ai = a[i]
-                    bi = b[p - i]
-                    for j in range(q + 1):
-                        if ai[j]:
-                            acc += ai[j] * bi[q - j]
-                row.append(acc)
-            out.append(row)
-        return Series2(out)
+        a, da = _scaled(row[: n + 1] for row in self.values[: m + 1])
+        b, db = _scaled(row[: n + 1] for row in other.values[: m + 1])
+        den = da * db
+        return Series2([[Fraction(c, den) for c in row] for row in _convolve(a, b, m, n)])
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Series2":
-        """Series g with self * g = 1 on the box of self."""
-        c0 = self.values[0][0]
-        if c0 == 0:
+        """Series g with self * g = 1 on the box of self.
+
+        Fraction-free: with self = A / d over integers and a0 = A[0][0], the
+        scaled coefficients B[p][q] = a0^(p+q+1) (1/A)[p][q] are integers and
+        B[p][q] = -sum over (i, j) != (0, 0) of A[i][j] a0^(i+j-1) B[p-i][q-j],
+        so g[p][q] = d B[p][q] / a0^(p+q+1).
+        """
+        if self.values[0][0] == 0:
             raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
         m, n = self.left_order, self.right_order
-        inv = Fraction(1) / c0
-        out = [[Fraction(0)] * (n + 1) for _ in range(m + 1)]
-        out[0][0] = inv
+        a, d = _scaled(self.values)
+        a0 = a[0][0]
+        powers = [1]
+        for _ in range(m + n + 1):
+            powers.append(powers[-1] * a0)
+        # a[i][j] a0^(i+j-1) for (i, j) != (0, 0); the corner is never read
+        a = [[x * powers[i + j - 1] if i + j else 0 for j, x in enumerate(row)]
+             for i, row in enumerate(a)]
+        b = [[0] * (n + 1) for _ in range(m + 1)]
+        b[0][0] = 1
         for p in range(m + 1):
             for q in range(n + 1):
-                if p == 0 and q == 0:
-                    continue
-                acc = Fraction(0)
-                for i in range(p + 1):
-                    ai = self.values[i]
-                    for j in range(q + 1):
-                        if (i or j) and ai[j]:
-                            acc += ai[j] * out[p - i][q - j]
-                out[p][q] = -inv * acc
-        return Series2(out)
+                if p or q:
+                    acc = 0
+                    for i in range(p + 1):
+                        ai, bi = a[i], b[p - i]
+                        for j in range(q + 1):
+                            if ai[j]:
+                                acc -= ai[j] * bi[q - j]
+                    b[p][q] = acc
+        return Series2(
+            [[Fraction(d * x, powers[p + q + 1]) for q, x in enumerate(row)]
+             for p, row in enumerate(b)]
+        )
 
     def substitute(self, f: Series1, g: Series1) -> "Series2":
         """self(f(z), g(w)) for inner series vanishing at 0.
 
         The output box is the componentwise minimum of self's box and the
         inner orders: beyond that the substituted coefficients would depend
-        on unknown data.
+        on unknown data.  With F[p][i] = [z^i] f^p and G[q][j] = [w^j] g^q the
+        result is F^T H G, computed in two passes, T = H G and then F^T T,
+        on integers over one common denominator.
         """
         if f.coeffs[0] != 0 or g.coeffs[0] != 0:
             raise NonzeroConstantSubstitution("substituted series must vanish at 0")
         m = min(self.left_order, f.order)
         n = min(self.right_order, g.order)
-        fpow = _powers(f.truncate(m) if f.order > m else f, m)
-        gpow = _powers(g.truncate(n) if g.order > n else g, n)
-        out = []
-        for i in range(m + 1):
-            row = []
+        h, dh = _scaled(row[: n + 1] for row in self.values[: m + 1])
+        fp, df = _power_rows(f, m)
+        gq, dg = _power_rows(g, n)
+        # g^q starts at w^q, so only q <= j and p <= i contribute
+        t = [[sum(row[q] * gq[q][j] for q in range(j + 1)) for j in range(n + 1)] for row in h]
+        den = dh * df**m * dg**n
+        return Series2(
+            [[Fraction(sum(fp[p][i] * t[p][j] for p in range(i + 1)), den) for j in range(n + 1)]
+             for i in range(m + 1)]
+        )
+
+
+def _scaled(grid):
+    """(ints, d) with grid = ints / d, where d is the LCM of the denominators."""
+    grid = list(grid)
+    d = 1
+    for row in grid:
+        for v in row:
+            d = lcm(d, v.denominator)
+    return [[v.numerator * (d // v.denominator) for v in row] for row in grid], d
+
+
+def _convolve(a, b, m, n):
+    """The integer grid of the product of integer grids a and b on the box (m, n)."""
+    out = []
+    for p in range(m + 1):
+        row = [0] * (n + 1)
+        for i in range(p + 1):
+            ai, bi = a[i], b[p - i]
             for j in range(n + 1):
-                acc = Fraction(0)
-                for p in range(i + 1):
-                    fp = fpow[p].coeffs[i]
-                    if not fp:
-                        continue
-                    for q in range(j + 1):
-                        c = self.values[p][q]
-                        if c:
-                            acc += c * fp * gpow[q].coeffs[j]
-                row.append(acc)
-            out.append(row)
-        return Series2(out)
-
-
-def _powers(f: Series1, count: int):
-    """[1, f, f^2, ..., f^count] truncated to f's order."""
-    out = [Series1.one(f.order)]
-    for _ in range(count):
-        out.append(out[-1] * f)
+                x = ai[j]
+                if x:
+                    for q in range(j, n + 1):
+                        row[q] += x * bi[q - j]
+        out.append(row)
     return out
+
+
+def _power_rows(f: Series1, k: int):
+    """(rows, d) with rows[p][i] / d^k = [z^i] f^p for p, i <= k.
+
+    The powers of f's integer coefficients are (k, 0) grid products, and
+    row p is scaled by d^(k-p) so that every row shares the denominator d^k.
+    """
+    col, d = _scaled([c] for c in f.coeffs[: k + 1])
+    power = [[1]] + [[0] for _ in range(k)]
+    rows = []
+    for p in range(k + 1):
+        if p:
+            power = _convolve(power, col, k, 0)
+        scale = d ** (k - p)
+        rows.append([x * scale for (x,) in power])
+    return rows, d

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import Series1, as_fraction
+from .series import Series1, as_fraction, check_orders
 
 __all__ = [
     "BadNormalization",
@@ -70,8 +70,7 @@ def r_to_moments(r: Series1, order: int) -> tuple[Fraction, ...]:
     Exact inverse of :func:`moments_to_r`: the cumulant series must carry
     at least ``order - 1`` coefficients.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_orders(order)
     if order == 0:
         return (Fraction(1),)
     rr = r.truncate(order - 1)

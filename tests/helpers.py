@@ -9,9 +9,10 @@ a ``ProductState`` through its two actions alone.
 import itertools
 from fractions import Fraction as F
 
-from bifree.oracle import LEFT, RIGHT, TruncationUnsound, rational_matrix
+from bifree.io import to_json
+from bifree.oracle import LEFT, RIGHT, TruncationUnsound, basis_vector, rational_matrix
 from bifree.partial_r import PartialRTable, TwoBandsTable, compute_partial_r
-from bifree.series import NotInvertible, Series1
+from bifree.series import NotInvertible, Series1, Series2
 
 
 def random_table(rng, box, lo=-3, hi=3, denominators=(1,)):
@@ -23,6 +24,141 @@ def random_table(rng, box, lo=-3, hi=3, denominators=(1,)):
     ]
     vals[0][0] = F(1)
     return TwoBandsTable(vals)
+
+
+def identity_matrix(dim: int) -> tuple:
+    return tuple(basis_vector(dim, i) for i in range(dim))
+
+
+def save_path(path, obj):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(to_json(obj))
+
+
+def fraction_mul(x: Series2, y: Series2) -> Series2:
+    """x * y by the Fraction double convolution, on the smaller box."""
+    m, n = min(x.left_order, y.left_order), min(x.right_order, y.right_order)
+    a, b = x.values, y.values
+    out = []
+    for p in range(m + 1):
+        row = []
+        for q in range(n + 1):
+            acc = F(0)
+            for i in range(p + 1):
+                ai = a[i]
+                bi = b[p - i]
+                for j in range(q + 1):
+                    if ai[j]:
+                        acc += ai[j] * bi[q - j]
+            row.append(acc)
+        out.append(row)
+    return Series2(out)
+
+
+def fraction_reciprocal(x: Series2) -> Series2:
+    """1 / x by the Fraction recurrence g[p][q] = -(1/c0) sum x[i][j] g[p-i][q-j]."""
+    c0 = x.values[0][0]
+    m, n = x.box
+    inv = F(1) / c0
+    out = [[F(0)] * (n + 1) for _ in range(m + 1)]
+    out[0][0] = inv
+    for p in range(m + 1):
+        for q in range(n + 1):
+            if p == 0 and q == 0:
+                continue
+            acc = F(0)
+            for i in range(p + 1):
+                ai = x.values[i]
+                for j in range(q + 1):
+                    if (i or j) and ai[j]:
+                        acc += ai[j] * out[p - i][q - j]
+            out[p][q] = -inv * acc
+    return Series2(out)
+
+
+def _powers(f: Series1, count: int):
+    """[1, f, f^2, ..., f^count] truncated to f's order."""
+    out = [Series1.one(f.order)]
+    for _ in range(count):
+        out.append(out[-1] * f)
+    return out
+
+
+def fraction_substitute(h: Series2, f: Series1, g: Series1) -> Series2:
+    """h(f(z), g(w)) as the direct sum over (i, j, p <= i, q <= j) of
+    h[p][q] [z^i] f^p [w^j] g^q, in Fractions."""
+    m = min(h.left_order, f.order)
+    n = min(h.right_order, g.order)
+    fpow = _powers(f.truncate(m), m)
+    gpow = _powers(g.truncate(n), n)
+    out = []
+    for i in range(m + 1):
+        row = []
+        for j in range(n + 1):
+            acc = F(0)
+            for p in range(i + 1):
+                fp = fpow[p].coeffs[i]
+                if not fp:
+                    continue
+                for q in range(j + 1):
+                    c = h.values[p][q]
+                    if c:
+                        acc += c * fp * gpow[q].coeffs[j]
+            row.append(acc)
+        out.append(row)
+    return Series2(out)
+
+
+def noncrossing_partitions(size: int) -> list:
+    """Every non-crossing partition of range(size), as a list of blocks.
+
+    The first element either is a singleton, or its block goes on at some
+    j; then range(1, j) is partitioned on its own and the first element
+    joins the block of j in a partition of range(j, size).  The block of
+    the first element always comes first.
+    """
+
+    def parts(lo, hi):
+        if lo == hi:
+            return [[]]
+        out = [[(lo,)] + rest for rest in parts(lo + 1, hi)]
+        for j in range(lo + 1, hi):
+            for inner in parts(lo + 1, j):
+                for outer in parts(j, hi):
+                    out.append([(lo,) + outer[0]] + inner + outer[1:])
+        return out
+
+    return parts(0, size)
+
+
+def noncrossing_cumulants(table: TwoBandsTable) -> PartialRTable:
+    """Two-bands cumulants by the bi-free moment-cumulant formula.
+
+    phi(a^m b^n) is the sum over non-crossing partitions pi of the m + n
+    letters, read in the order a_1 .. a_m b_n .. b_1, of the product over
+    blocks V of kappa(#a in V, #b in V) (Charlesworth, Nelson and
+    Skoufranis 2015).  The one-block partition contributes kappa(m, n)
+    itself and every other one only lower degrees, so the formula is solved
+    degree by degree.  Shares no code with the series route.
+    """
+    m, n = table.box
+    kappa = {}
+    for degree in range(1, m + n + 1):
+        partitions = noncrossing_partitions(degree)
+        for i in range(max(0, degree - n), min(m, degree) + 1):
+            rest = F(0)
+            for blocks in partitions:
+                if len(blocks) == 1:
+                    continue
+                term = F(1)
+                for block in blocks:
+                    left = sum(1 for x in block if x < i)
+                    term *= kappa[(left, len(block) - left)]
+                rest += term
+            kappa[(i, degree - i)] = table.values[i][degree - i] - rest
+    return PartialRTable(
+        [[kappa.get((i, j), F(0)) for j in range(n + 1)] for i in range(m + 1)]
+    )
 
 
 def picard_revert(f: Series1) -> Series1:

@@ -16,7 +16,6 @@ from bifree.io import (
     parse_word,
     rational_from_json,
     rational_to_json,
-    save_path,
     to_json,
     word_to_str,
 )
@@ -24,7 +23,7 @@ from bifree.oracle import LEFT, RIGHT, shift_pair_rep
 from bifree.partial_r import PartialRTable, TwoBandsTable, compute_partial_r
 from bifree.rank1 import Rank1System, extract_system
 from bifree.transforms import BadNormalization
-from helpers import random_table
+from helpers import random_table, save_path
 
 ENTRIES = dict(lo=-9, hi=9, denominators=(1, 2, 3))
 # The most digits int() reads from a string; 0 when the interpreter sets no limit.
@@ -89,6 +88,40 @@ def test_moment_seq_roundtrip():
     text = to_json(moments)
     assert from_json(text) == moments
     assert json.loads(text)["kind"] == "moment_seq"
+
+
+rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def documents(draw):
+    """A random TwoBandsTable, PartialRTable or extracted Rank1System."""
+    kind = draw(st.sampled_from(["moments", "cumulants", "system"]))
+    if kind == "system":
+        omega = draw(st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=2, max_size=2))
+        dim = draw(st.integers(2, 4))
+        return extract_system(shift_pair_rep(dim, omega), cap=draw(st.integers(0, 2 * dim - 2)))
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(rationals, min_size=n + 1, max_size=n + 1),
+                         min_size=m + 1, max_size=m + 1))
+    rows[0][0] = F(1) if kind == "moments" else F(0)
+    return TwoBandsTable(rows) if kind == "moments" else PartialRTable(rows)
+
+
+def _fields(x):
+    if isinstance(x, Rank1System):
+        return (x.left_indices, x.right_indices, dict(x.lam), dict(x.two_bands), x.cap)
+    return x
+
+
+@given(documents())
+@settings(max_examples=100, deadline=None)
+def test_json_roundtrip_property(x):
+    text = to_json(x)
+    again = from_json(text)
+    assert type(again) is type(x)
+    assert _fields(again) == _fields(x)
+    assert to_json(again) == text
 
 
 def test_rank1_roundtrip():

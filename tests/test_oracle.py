@@ -18,7 +18,6 @@ from bifree.oracle import (
     TwoFacedPairRep,
     commutator,
     gaussian_pair_rep,
-    identity_matrix,
     rational_matrix,
     shift_pair_rep,
     state_projector,
@@ -30,6 +29,7 @@ from bifree.series import NegativeOrder
 from helpers import (
     apply_sum,
     basis,
+    identity_matrix,
     joint_moment,
     left_action,
     mirrored_apply_right,

@@ -18,7 +18,7 @@ from bifree.partial_r import (
 )
 from bifree.series import NegativeOrder, Series2
 from bifree.transforms import BadNormalization, moments_to_r
-from helpers import antidiagonal_inverse, random_table
+from helpers import antidiagonal_inverse, noncrossing_cumulants, random_table
 
 
 tables33 = st.lists(
@@ -129,6 +129,19 @@ def test_closed_form_inverse_matches_antidiagonal_solver(box, data):
     rows = data.draw(st.lists(row, min_size=box[0] + 1, max_size=box[0] + 1))
     r = PartialRTable([[F(0)] + rows[0][1:], *rows[1:]])
     assert partial_r_to_moments(r) == antidiagonal_inverse(r)
+
+
+@pytest.mark.parametrize("box", [(m, n) for m in range(8) for n in range(8 - m)])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_noncrossing_route_matches_compute_partial_r(box, data):
+    # the bi-free moment-cumulant formula over NC(m + n) shares no code
+    # with the series route
+    entries = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5]))
+    row = st.lists(entries, min_size=box[1] + 1, max_size=box[1] + 1)
+    rows = data.draw(st.lists(row, min_size=box[0] + 1, max_size=box[0] + 1))
+    table = TwoBandsTable([[F(1)] + rows[0][1:], *rows[1:]])
+    assert noncrossing_cumulants(table) == compute_partial_r(table)
 
 
 @given(tables33)
@@ -262,6 +275,20 @@ def test_combined_quotient_identity_on_oracle_pairs():
         s1, s2 = subordination_series(tables[0].b_moments(), tables[1].b_moments(), box)
         combined = quotient(tables[0], t1, s1) + quotient(tables[1], t2, s2) - 1
         assert combined == quotient(oracle_sum, Series1.var(box), Series1.var(box))
+
+
+def test_noncrossing_route_is_additive_on_model_sums():
+    from bifree.oracle import ProductState, TwoFacedPairRep, sum_two_bands_table
+    from bifree.oracle import two_bands_table as model_table
+
+    rng = random.Random(53)
+    box = (3, 3)
+    for _ in range(4):
+        mk = lambda d: [[F(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
+        reps = [TwoFacedPairRep(d, {0: mk(d)}, {0: mk(d)}) for d in (2, 3)]
+        parts = [noncrossing_cumulants(model_table(rep, box)) for rep in reps]
+        total = sum_two_bands_table(ProductState(reps, sum(box)), box)
+        assert noncrossing_cumulants(total) == parts[0] + parts[1]
 
 
 def test_gaussian_pair_doubling():

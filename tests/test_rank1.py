@@ -21,7 +21,7 @@ from bifree.rank1 import (
     NotRank1,
     Rank1System,
     UnsupportedIndexSets,
-    apply_T,
+    _apply_T,
     biconvolve_rank1,
     extract_system,
     mixed_moment,
@@ -57,10 +57,10 @@ def demo_system():
 def test_apply_T_examples():
     s = demo_system()
     empty = {((), ()): F(1)}
-    assert apply_T(s, empty, a()) == {((0,), ()): F(1)}
-    assert apply_T(s, {((0,), ()): F(1)}, b()) == {((0,), (0,)): F(1)}
+    assert _apply_T(s, empty, a()) == {((0,), ()): F(1)}
+    assert _apply_T(s, {((0,), ()): F(1)}, b()) == {((0,), (0,)): F(1)}
     # a left letter crosses one right letter: correction -phi(a) * lam
-    out = apply_T(s, {((0,), (0,)): F(1)}, a())
+    out = _apply_T(s, {((0,), (0,)): F(1)}, a())
     phi_a = s.phi((0,), ())
     assert out == {((0, 0), (0,)): F(1), ((), ()): -phi_a * F(2)}
 
@@ -88,9 +88,12 @@ def test_cap_is_enforced():
         s.phi((0, 0, 0), (0, 0))
     with pytest.raises(CapExceeded):
         mixed_moment(s, [a()] * 5)
-    for cap in (2.9, True, -1, "4"):
+    rep = shift_pair_rep(4, [[1, 2], [3, 1]])
+    for cap in (2.9, 2.5, True, -1, "4"):
         with pytest.raises(ValueError):
             Rank1System((0,), (0,), {}, {((), ()): F(1)}, cap)
+        with pytest.raises(ValueError):
+            extract_system(rep, cap)
 
 
 def _naive_normalize(system, word):

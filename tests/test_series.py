@@ -14,7 +14,7 @@ from bifree.series import (
     Series2,
     ZeroConstantTerm,
 )
-from helpers import picard_revert
+from helpers import fraction_mul, fraction_reciprocal, fraction_substitute, picard_revert
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
@@ -173,6 +173,57 @@ def test_substitute_rejects_constant():
 @settings(max_examples=40)
 def test_substitute_identity_is_identity(h):
     assert h.substitute(Series1.var(2), Series1.var(2)) == h
+
+
+# -- the integer kernels against the Fraction loops they replaced --
+
+BOXES = [(m, n) for m in range(7) for n in range(7)]
+# denominators {1, 2, 3, 5} make every operand's LCM and every inner
+# series' scale differ from 1 in most draws
+entries = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+units = entries.filter(lambda x: x not in (0, 1, -1))
+
+
+def grid(data, box, corner=entries):
+    m, n = box
+    rows = data.draw(st.lists(st.lists(entries, min_size=n + 1, max_size=n + 1),
+                              min_size=m + 1, max_size=m + 1))
+    rows[0][0] = data.draw(corner)
+    return Series2(rows)
+
+
+def inner_series(data):
+    """A series vanishing at 0, of any order 0-7, often below the box."""
+    return Series1([0] + data.draw(st.lists(entries, min_size=0, max_size=7)))
+
+
+@pytest.mark.parametrize("box", BOXES)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_product_matches_fraction_loop(box, data):
+    x = grid(data, box)
+    y = grid(data, data.draw(st.sampled_from(BOXES)))
+    assert x * y == fraction_mul(x, y)
+    assert y * x == fraction_mul(y, x)
+
+
+@pytest.mark.parametrize("box", BOXES)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_reciprocal_matches_fraction_loop(box, data):
+    x = grid(data, box, corner=units)
+    assert x.reciprocal() == fraction_reciprocal(x)
+
+
+@pytest.mark.parametrize("box", BOXES)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_substitute_matches_fraction_loop(box, data):
+    h = grid(data, box)
+    f, g = inner_series(data), inner_series(data)
+    out = h.substitute(f, g)
+    assert out.box == (min(box[0], f.order), min(box[1], g.order))
+    assert out == fraction_substitute(h, f, g)
 
 
 # -- ring axioms, exactly --

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifree.series import Series1
+from bifree.series import NegativeOrder, Series1
 from bifree.transforms import (
     BadNormalization,
     free_convolve1,
@@ -66,6 +66,8 @@ def test_r_to_moments_trivial():
     assert r_to_moments(Series1([c, 0, 0]), 3) == (1, c, c**2, c**3)
     got = r_to_moments(Series1([0, 1, 0, 0, 0, 0]), 6)
     assert got == (1, 0, 1, 0, 2, 0, 5)
+    with pytest.raises(NegativeOrder):
+        r_to_moments(Series1([0, 0, 0]), -1)
 
 
 @given(moment_seqs)
