@@ -9,8 +9,8 @@ Subcommands::
 
 Inputs and outputs are the JSON documents of :mod:`bifree.io`; output is
 deterministic, so identical inputs give byte-identical files.  Exit codes:
-0 success, 2 parse or usage errors, 3 bad normalization, 4 box mismatch,
-5 two-bands cap exceeded.  The environment variable BIFREE_SEED supplies
+0 success, 1 a selfcheck failed, 2 parse or usage errors, 3 bad
+normalization, 4 box mismatch, 5 two-bands cap exceeded.  The environment variable BIFREE_SEED supplies
 the default selfcheck seed.
 """
 

@@ -98,6 +98,7 @@ def subordination_series(m1, m2, order: int) -> tuple[Series1, Series1]:
     is the moment series of the sum.  Both inputs must provide moments up to
     ``order``.
     """
+    check_orders(order)
     a = normalize_moments(m1)
     b = normalize_moments(m2)
     if order < 1:

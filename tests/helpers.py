@@ -76,9 +76,29 @@ def fraction_reciprocal(x: Series2) -> Series2:
     return Series2(out)
 
 
+def fraction_reciprocal1(f: Series1) -> Series1:
+    """1 / f by the Fraction recurrence g[k] = -(1/c0) sum_{i>=1} f[i] g[k-i]."""
+    inv = F(1) / f.coeffs[0]
+    out = [inv]
+    for k in range(1, f.order + 1):
+        acc = sum((f.coeffs[i] * out[k - i] for i in range(1, k + 1)), F(0))
+        out.append(-inv * acc)
+    return Series1(out)
+
+
+def horner_compose(f: Series1, g: Series1) -> Series1:
+    """f(g(t)) by Horner's rule in Fractions, to order min(f.order, g.order)."""
+    n = min(f.order, g.order)
+    g = g.truncate(n)
+    acc = Series1([f.coeffs[n]] + [0] * n)
+    for k in range(n - 1, -1, -1):
+        acc = acc * g + f.coeffs[k]
+    return acc
+
+
 def _powers(f: Series1, count: int):
     """[1, f, f^2, ..., f^count] truncated to f's order."""
-    out = [Series1.one(f.order)]
+    out = [Series1([1] + [0] * f.order)]
     for _ in range(count):
         out.append(out[-1] * f)
     return out
@@ -174,7 +194,7 @@ def picard_revert(f: Series1) -> Series1:
     t = Series1.var(n)
     g = t * inv1
     for _ in range(n - 1):
-        g = (t - tail.compose(g)) * inv1
+        g = (t - horner_compose(tail, g)) * inv1
     return g
 
 

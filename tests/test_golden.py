@@ -1,13 +1,16 @@
-"""CLI output against golden files.
+"""CLI and demo output against golden files.
 
-Each case runs ``bifree.cli.main`` in process on the fixture documents in
-``tests/data`` and compares the exit code and the stdout bytes with
-``tests/data/<case>.out``.  The golden files were written by an earlier
-build whose output the other tests had checked; a change meant to alter the
-output rewrites them with ``bifree <argv> > <case>.out``, run in
-``tests/data``.
+Each CLI case runs ``bifree.cli.main`` in process on the fixture documents
+in ``tests/data`` and compares the exit code and the stdout bytes with
+``tests/data/<case>.out``.  Each demo runs in process as ``__main__`` and
+its stdout bytes are compared with ``tests/data/demo-<name>.out``.  The
+golden files were written by an earlier build whose output the other tests
+had checked; a change meant to alter the output rewrites them with
+``bifree <argv> > <case>.out``, run in ``tests/data``, or with
+``python demos/<name>.py > tests/data/demo-<name>.out`` from the root.
 """
 
+import runpy
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ import pytest
 from bifree.cli import main
 
 DATA = Path(__file__).parent / "data"
+DEMOS = Path(__file__).parent.parent / "demos"
 
 CASES = {
     "selfcheck-seed0": (["selfcheck", "--seed", "0"], 0),
@@ -41,3 +45,9 @@ def test_cli_output_matches_golden(case, capsysbinary, monkeypatch):
     monkeypatch.chdir(DATA)
     assert main(argv) == code
     assert capsysbinary.readouterr().out == (DATA / f"{case}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["one_variable_tower", "two_bands_cumulants", "rank_one_systems"])
+def test_demo_output_matches_golden(name, capsysbinary):
+    runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    assert capsysbinary.readouterr().out == (DATA / f"demo-{name}.out").read_bytes()

@@ -4,9 +4,10 @@ import json
 import random
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from bifree.cli import main
@@ -365,3 +366,93 @@ def test_selfcheck_seed_env(monkeypatch, capsys):
     via_env = capsys.readouterr().out
     assert main(["selfcheck", "--seed", "5", "--size", "1"]) == 0
     assert via_env == capsys.readouterr().out
+
+
+# -- cli.main on arbitrary argv and file contents --
+
+DATA = Path(__file__).parent / "data"
+DOCUMENTS = [path.read_bytes() for path in sorted(DATA.glob("*.json"))]
+
+
+@st.composite
+def file_contents(draw):
+    """A fixture document as it is, with a few bytes changed, or random bytes."""
+    how = draw(st.sampled_from(["valid", "valid", "mutated", "random"]))
+    if how == "random":
+        return draw(st.binary(max_size=200))
+    doc = bytearray(draw(st.sampled_from(DOCUMENTS)))
+    if how == "mutated":
+        for _ in range(draw(st.integers(1, 4))):
+            i = draw(st.integers(0, len(doc) - 1))
+            edit = draw(st.sampled_from(["replace", "delete", "insert", "cut"]))
+            if edit == "replace":
+                doc[i] = draw(st.integers(0, 255))
+            elif edit == "delete":
+                del doc[i]
+            elif edit == "insert":
+                doc.insert(i, draw(st.sampled_from(b'0123456789-/.,:"[]{} ae')))
+            else:
+                del doc[i:]
+            if not doc:
+                break
+    return bytes(doc)
+
+
+WORDS = st.lists(st.sampled_from(["a0", "b0", "a1", "b1", "a", "c0", "a-1", "b00"]), max_size=6)
+
+
+# the options each subcommand accepts, and how many positional files it takes
+USAGE = {
+    "cumulants": ({"--box", "-o"}, 1),
+    "convolve": ({"-o"}, 2),
+    "moment": ({"--word"}, 1),
+    "selfcheck": ({"--seed", "--size", "--corrupt"}, 0),
+}
+
+
+@st.composite
+def cli_argv(draw, names):
+    """argv over the four subcommands; now and then an option or a file too many."""
+    command = draw(st.sampled_from(sorted(USAGE)))
+    accepted, count = USAGE[command]
+
+    def wanted(option):
+        return draw(st.booleans()) if option in accepted else draw(st.integers(0, 9)) == 0
+
+    if draw(st.integers(0, 9)) == 0:
+        count = draw(st.integers(0, 3))
+    positional = draw(st.lists(st.sampled_from(names), min_size=count, max_size=count))
+    options = []
+    if wanted("--box"):
+        options.append(["--box", *map(str, draw(st.lists(st.integers(-2, 5), min_size=2, max_size=2)))])
+    if command == "moment" or wanted("--word"):
+        options.append(["--word", draw(WORDS.map(" ".join) | st.text(max_size=8))])
+    if wanted("-o"):
+        options.append(["-o", draw(st.sampled_from(["out.json", ".", "missing/out.json"]))])
+    if wanted("--seed"):
+        options.append(["--seed", draw(st.sampled_from(["0", "7", "-3", "99999999999", "x"]))])
+    if command == "selfcheck":
+        # the default size is 2; larger suites only cost time
+        options.append(["--size", str(draw(st.integers(-1, 1)))])
+    if wanted("--corrupt"):
+        options.append(["--corrupt"])
+    return [command, *positional, *(arg for group in draw(st.permutations(options)) for arg in group)]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_main_returns_a_documented_exit_code(tmp_path, monkeypatch, data):
+    monkeypatch.chdir(tmp_path)
+    names = ["doc0.json", "doc1.json", "doc2.json", "missing.json", "."]
+    for name in names[:3]:
+        (tmp_path / name).write_bytes(data.draw(file_contents()))
+    argv = data.draw(cli_argv(names))
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        assert exc.code == 2
+        event("usage error")
+    else:
+        assert code in {0, 1, 2, 3, 4, 5}
+        event(f"exit {code}")

@@ -14,7 +14,14 @@ from bifree.series import (
     Series2,
     ZeroConstantTerm,
 )
-from helpers import fraction_mul, fraction_reciprocal, fraction_substitute, picard_revert
+from helpers import (
+    fraction_mul,
+    fraction_reciprocal,
+    fraction_reciprocal1,
+    fraction_substitute,
+    horner_compose,
+    picard_revert,
+)
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
@@ -43,7 +50,7 @@ def test_add_trivial():
     one_ts = Series2([[1, 0], [0, 1]])
     two_ts = Series2([[2, 0], [0, 1]])
     assert one_ts + two_ts == Series2([[3, 0], [0, 2]])
-    assert one_ts + Series2.zero(1, 1) == one_ts
+    assert one_ts + Series2([[0, 0], [0, 0]]) == one_ts
     t = Series2([[0, 0], [1, 0]])
     s = Series2([[0, 1], [0, 0]])
     assert t + s == Series2([[0, 1], [1, 0]])
@@ -54,7 +61,7 @@ def test_mul_trivial():
     one_plus_s = Series2([[1, 1], [0, 0]])
     assert one_plus_t * one_plus_s == Series2([[1, 1], [1, 1]])
     f = Series2([[2, 3], [5, 7]])
-    assert f * Series2.one(1, 1) == f
+    assert f * Series2([[1, 0], [0, 0]]) == f
 
 
 def test_mul_truncates_to_min_order():
@@ -72,14 +79,15 @@ def test_reciprocal_geometric():
     assert g == Series2([[1, 0], [0, 1]])
     big = Series2([[1, 0, 0], [0, -1, 0], [0, 0, 0]]).reciprocal()
     assert big == Series2([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert Series2.one(2, 3).reciprocal() == Series2.one(2, 3)
+    one = Series2([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    assert one.reciprocal() == one
 
 
 def test_reciprocal_neumann_oracle():
     # oracle: sum_k (-(t+s))^k on the box
     f = Series2([[1, 1, 0], [1, 0, 0], [0, 0, 0]])
     x = Series2([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    acc, term = Series2.one(2, 2), Series2.one(2, 2)
+    acc = term = Series2([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     for _ in range(4):
         term = term * (-x)
         acc = acc + term
@@ -226,6 +234,40 @@ def test_substitute_matches_fraction_loop(box, data):
     assert out == fraction_substitute(h, f, g)
 
 
+# the one-variable reciprocal and composition are one-column grids in the
+# same kernels; the Fraction recurrence and Horner's rule they replaced
+# check them on every order 0-12
+
+
+@pytest.mark.parametrize("order", range(13))
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_one_variable_reciprocal_matches_fraction_loop(order, data):
+    tail = data.draw(st.lists(entries, min_size=order, max_size=order))
+    f = Series1([data.draw(units), *tail])
+    got = f.reciprocal()
+    assert got.order == order
+    assert got == fraction_reciprocal1(f)
+
+
+@pytest.mark.parametrize("order", range(13))
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_compose_matches_horner(order, data):
+    tail = data.draw(st.lists(entries, min_size=order, max_size=order))
+    f = Series1([data.draw(units), *tail])
+    # inner series shorter than the outer one (where there is room), as
+    # long, and longer
+    inner_orders = [order, data.draw(st.integers(order + 1, order + 3))]
+    if order:
+        inner_orders.append(data.draw(st.integers(0, order - 1)))
+    for k in inner_orders:
+        g = Series1([0] + data.draw(st.lists(entries, min_size=k, max_size=k)))
+        got = f.compose(g)
+        assert got.order == min(order, k)
+        assert got == horner_compose(f, g)
+
+
 # -- ring axioms, exactly --
 
 
@@ -254,8 +296,9 @@ def test_reciprocal_is_two_sided_inverse(f):
     rows = [list(r) for r in f.values]
     rows[0][0] = F(1) + abs(rows[0][0])  # force a nonzero constant term
     f = Series2(rows)
-    assert f * f.reciprocal() == Series2.one(2, 2)
-    assert f.reciprocal() * f == Series2.one(2, 2)
+    one = Series2([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert f * f.reciprocal() == one
+    assert f.reciprocal() * f == one
 
 
 @given(st.lists(st.integers(-9, 9), min_size=5, max_size=5),
@@ -287,19 +330,11 @@ def test_truncate_rejects_negative_orders():
     for box in ((-2, 1), (1, -1)):
         with pytest.raises(NegativeOrder):
             h.truncate(*box)
-    constructors = [
-        lambda: Series1.constant(3, -1),
-        lambda: Series1.zero(-2),
-        lambda: Series1.one(-1),
-        lambda: Series2.constant(3, -1, 2),
-        lambda: Series2.zero(2, -1),
-        lambda: Series2.one(-1, 3),
-    ]
-    for build in constructors:
-        with pytest.raises(NegativeOrder):
-            build()
+    with pytest.raises(NegativeOrder):
+        Series1.var(-1)
     assert issubclass(NegativeOrder, ValueError)
     assert f.truncate(0) == Series1([1])
     assert h.truncate(0, 0) == Series2([[1]])
-    assert Series1.zero(0) == Series1([0])
-    assert Series2.one(0, 3).box == (0, 3)
+    with pytest.raises(ValueError) as info:
+        Series1.var(0)
+    assert info.type is ValueError

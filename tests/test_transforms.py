@@ -68,6 +68,11 @@ def test_r_to_moments_trivial():
     assert got == (1, 0, 1, 0, 2, 0, 5)
     with pytest.raises(NegativeOrder):
         r_to_moments(Series1([0, 0, 0]), -1)
+    with pytest.raises(NegativeOrder):
+        subordination_series((1, 0, 1), (1, 0, 1), -2)
+    with pytest.raises(ValueError) as info:
+        subordination_series((1, 0, 1), (1, 0, 1), 0)
+    assert info.type is ValueError
 
 
 @given(moment_seqs)
