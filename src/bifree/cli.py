@@ -26,7 +26,7 @@ from .rank1 import CapExceeded, Rank1System, mixed_moment
 from .selfcheck import run_selfcheck
 from .transforms import BadNormalization
 
-__all__ = ["main", "entry", "build_parser"]
+__all__ = ["main", "entry"]
 
 
 def _load_table(path) -> TwoBandsTable:
@@ -74,7 +74,7 @@ def cmd_selfcheck(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bifree",
         description="Exact two-bands bi-free cumulants, convolution, and moments.",
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = build_parser()
+_PARSER = _build_parser()
 
 # Exit code of each error a command may raise, tried in order: BadNormalization
 # and BoxMismatch are ValueErrors too, so they come before ValueError.

@@ -68,6 +68,8 @@ def word_to_str(word) -> str:
     """Render a word of (side, label) letters; labels must be integers."""
     parts = []
     for side, label in word:
+        if side not in (LEFT, RIGHT):
+            raise ValueError(f"letter side must be LEFT or RIGHT, got {side!r}")
         parts.append(("a" if side == LEFT else "b") + str(label))
     return " ".join(parts)
 

@@ -152,9 +152,8 @@ class TwoFacedPairRep:
         return mat
 
     def operator(self, side, label) -> tuple:
-        ops = self.left_ops if side == LEFT else self.right_ops
         try:
-            return ops[label]
+            return {LEFT: self.left_ops, RIGHT: self.right_ops}[side][label]
         except KeyError:
             raise FactorMismatch(f"no {side!r} operator labelled {label!r}") from None
 

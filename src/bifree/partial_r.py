@@ -15,15 +15,16 @@ Both directions of the conversion are one pass of the pole-free identity
 
 where ``H(t, s) = sum phi(a^m b^n) t^m s^n``, ``ra, rb`` are the marginal
 free cumulant series and ``ka, kb`` the inverses of ``t*ha(t)``, ``s*hb(s)``.
-Forward, the moments give ``ka, kb`` by reversion and the identity gives R.
-Backward, column 0 and row 0 of R are ``z ra`` and ``w rb``, so the
-denominator ``1 + z ra + w rb - R`` is known, and solving for H gives
+Forward, the marginal moments give ``ka`` and ``1 + z ra`` (and the same for
+b) by the one-variable tower step and the identity gives R.  Backward,
+column 0 and row 0 of R are ``z ra`` and ``w rb``, so the denominator
+``1 + z ra + w rb - R`` is known, and solving for H gives
 
     H(t, s) = Q(t ha(t), s hb(s)),
     Q(z, w) = (1 + z ra(z)) (1 + w rb(w)) / (1 + z ra(z) + w rb(w) - R(z, w))
 
-with ``t ha(t)`` the reversion of ``z / (1 + z ra(z))``.  Every step is an
-exact operation on truncated rational series.
+with ``ha = (1 + t ra)(t ha)`` solved by one Lagrange step.  Every step is
+an exact operation on truncated rational series.
 
 Tables are immutable after construction and all functions here are pure, so
 values can be shared between threads freely.
@@ -33,8 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import BoxMismatch, Series1, Series2
-from .transforms import BadNormalization, _tower_revert
+from .series import BoxMismatch, Series1, Series2, _lagrange
+from .transforms import BadNormalization, _marginal
 
 __all__ = [
     "TwoBandsTable",
@@ -104,9 +105,8 @@ def compute_partial_r(table: TwoBandsTable) -> PartialRTable:
     Exact on the whole input box: R[m][n] is a universal integer polynomial
     in the moments phi(a^p b^q) with p <= m, q <= n.
     """
-    ka = _tower_revert(Series1(table.a_moments()))
-    kb = _tower_revert(Series1(table.b_moments()))
-    pa, pb = ka.shift_down().reciprocal(), kb.shift_down().reciprocal()
+    ka, pa = _marginal(table.a_moments())
+    kb, pb = _marginal(table.b_moments())
     linear, product = _frame(pa, pb)
     frac = table.substitute(ka, kb).reciprocal()
     return PartialRTable((linear - product * frac).values)
@@ -118,14 +118,14 @@ def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
     One pass of the identity solved for H: with pa = 1 + z ra(z) and
     pb = 1 + w rb(w) read off column 0 and row 0 of ``r``,
     H = Q(t ha(t), s hb(s)) for Q = pa pb / (pa + pb - 1 - R), where
-    t ha(t) = revert(z / pa(z)) and likewise for b.
+    ha = pa(t ha) and likewise for b.
     """
     pa = Series1(r.a_cumulants()) + 1
     pb = Series1(r.b_cumulants()) + 1
     linear, product = _frame(pa, pb)
     q = product * (linear - r).reciprocal()
-    ga = _tower_revert(pa.reciprocal())
-    gb = _tower_revert(pb.reciprocal())
+    ga = _lagrange(pa).shift_up()
+    gb = _lagrange(pb).shift_up()
     return TwoBandsTable(q.substitute(ga, gb).values)
 
 

@@ -120,23 +120,6 @@ class Rank1System:
         except KeyError:
             raise CapExceeded(f"two-bands moment for {key} not stored") from None
 
-    @classmethod
-    def from_table(cls, table: TwoBandsTable, lam_value):
-        """Single-pair system, both labels 0, from a rectangular moment table.
-
-        Stores every phi(a^p b^q) with p <= left order, q <= right order of
-        the table; the cap is the sum of the orders, so rectangular lookups
-        stay within the diagonal cap discipline.
-        """
-        two_bands = {
-            ((0,) * p, (0,) * q): table.values[p][q]
-            for p in range(table.left_order + 1)
-            for q in range(table.right_order + 1)
-        }
-        return cls(
-            (0,), (0,), {(0, 0): lam_value}, two_bands, table.left_order + table.right_order
-        )
-
     def table(self, box) -> TwoBandsTable:
         """Rectangular two-bands table of a single-pair system."""
         self._require_single_pair()
@@ -187,6 +170,8 @@ def mixed_moment(system: Rank1System, word) -> Fraction:
     v = {((), ()): Fraction(1)}
     for letter in word:
         side, k = letter
+        if side not in (LEFT, RIGHT):
+            raise ValueError(f"letter {letter!r} has side {side!r}, not LEFT or RIGHT")
         labels = system.left_indices if side == LEFT else system.right_indices
         if k not in labels:
             raise ValueError(f"letter {letter!r} uses an undeclared index")

@@ -54,10 +54,13 @@ class BoxMismatch(ValueError):
 
 
 def check_orders(*orders):
-    """Raise NegativeOrder unless every truncation order is >= 0."""
-    if any(k < 0 for k in orders):
-        got = ", ".join(map(str, orders))
-        raise NegativeOrder(f"truncation orders must be >= 0, got {got}")
+    """Raise NegativeOrder unless every truncation order is an int >= 0.
+
+    A bool or any other number type is refused, as for caps and word lengths.
+    """
+    if any(type(k) is not int or k < 0 for k in orders):
+        got = ", ".join(map(repr, orders))
+        raise NegativeOrder(f"truncation orders must be >= 0 and of type int, got {got}")
 
 
 def as_fraction(x) -> Fraction:
@@ -134,10 +137,10 @@ class Series1:
         return (-self) + other
 
     def __mul__(self, other):
-        # Stays on Fraction, as does revert: on _convolve it made the perfbench
-        # tower workload 2.4-2.9x faster, but perfbench keeps one latency per
-        # op run, so that speed raised its peak RSS by 3.3-4.7%, against a 5%
-        # bound.
+        # Stays on Fraction, as does _lagrange: on _convolve it made the
+        # perfbench tower workload 2.4-2.9x faster, but perfbench keeps one
+        # latency per op run, so that speed raised its peak RSS by 3.3-4.7%,
+        # against a 5% bound.
         if not isinstance(other, Series1):
             c = as_fraction(other)
             return Series1(tuple(c * v for v in self.coeffs))
@@ -174,19 +177,26 @@ class Series1:
     def revert(self) -> "Series1":
         """Compositional inverse: g with self(g(t)) = t up to the order.
 
-        Lagrange inversion: phi = t / self(t) is a unit series, and the
-        coefficient of t^k in g is (1/k) [z^(k-1)] phi(z)^k.  One reciprocal
-        and order - 1 products give every coefficient, with no composition.
+        g = t*u with u = phi(t*u) for the unit series phi = t / self(t).
         """
         if self.order < 1 or self.coeffs[0] != 0 or self.coeffs[1] == 0:
             raise NotInvertible("reversion needs f(0) = 0 and f'(0) != 0")
-        phi = self.shift_down().reciprocal()
-        power = phi
-        out = [Fraction(0), phi.coeffs[0]]
-        for k in range(2, self.order + 1):
-            power = power * phi
-            out.append(power.coeffs[k - 1] / k)
-        return Series1(out)
+        return _lagrange(self.shift_down().reciprocal()).shift_up()
+
+
+def _lagrange(phi: Series1) -> Series1:
+    """The unit series u with u = phi(t*u), to phi's order; phi(0) != 0.
+
+    Lagrange inversion: [t^k] u = [z^k] phi^(k+1) / (k+1), so phi.order
+    products give every coefficient, with no composition.  Both directions
+    of the transform tower are this one step.
+    """
+    power = phi
+    out = [phi.coeffs[0]]
+    for k in range(1, phi.order + 1):
+        power = power * phi
+        out.append(power.coeffs[k] / (k + 1))
+    return Series1(out)
 
 
 class Series2:

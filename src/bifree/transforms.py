@@ -5,9 +5,11 @@ Writing ``h(t) = sum phi(a^n) t^n`` for the moment generating series, the
 series ``g(t) = t*h(t)`` plays the role of the Cauchy transform pulled back
 to the origin, and its compositional inverse ``k = revert(g)`` encodes the
 inverse Cauchy transform without a pole: ``k(z) = z*u(z)`` with ``u(0)=1``,
-and ``1/u(z) = 1 + z*r(z)`` where ``r`` is the free cumulant series.  All
-conversions below walk up and down this tower; nothing is ever stored with
-a pole and nothing is ever rounded.
+and ``1/u(z) = 1 + z*r(z)`` where ``r`` is the free cumulant series.  As g
+and k are inverse, ``u = (1/h)(z*u)`` and ``h = p(t*h)`` for
+``p = 1 + t*r(t)``: each direction of the tower is one Lagrange solve of
+``u = phi(t*u)``.  Nothing is ever stored with a pole and nothing is ever
+rounded.
 
 Moments up to order N determine cumulants up to order N-1 (one order is
 spent on the leading pole) and conversely.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import Series1, as_fraction, check_orders
+from .series import Series1, _lagrange, as_fraction, check_orders
 
 __all__ = [
     "BadNormalization",
@@ -41,14 +43,13 @@ def normalize_moments(moments) -> tuple[Fraction, ...]:
     return m
 
 
-def _tower_revert(x: Series1) -> Series1:
-    """revert(t*x(t)) for a unit series x: one step of the tower, either way.
+def _marginal(moments) -> tuple[Series1, Series1]:
+    """(k, p) of a moment sequence h: k = revert(t*h) and p = 1 + z*r(z).
 
-    From the moment series h it gives k = z*u(z); from u = 1/(1 + z*r(z))
-    it gives g = t*h(t).  The two directions are the same formula because
-    g and k are compositional inverses of each other.
+    k = z*u with u = (1/h)(z*u), one Lagrange step, and p = 1/u.
     """
-    return x.shift_up().revert()
+    u = _lagrange(Series1(moments).reciprocal())
+    return u.shift_up(), u.reciprocal()
 
 
 def moments_to_r(moments) -> Series1:
@@ -60,22 +61,20 @@ def moments_to_r(moments) -> Series1:
     m = normalize_moments(moments)
     if len(m) < 2:
         raise ValueError("need at least the first moment beyond phi(1)")
-    k = _tower_revert(Series1(m))
-    return (k.shift_down().reciprocal() - 1).shift_down()
+    return (_marginal(m)[1] - 1).shift_down()
 
 
 def r_to_moments(r: Series1, order: int) -> tuple[Fraction, ...]:
     """Moment sequence of a free cumulant series, up to ``order``.
 
     Exact inverse of :func:`moments_to_r`: the cumulant series must carry
-    at least ``order - 1`` coefficients.
+    at least ``order - 1`` coefficients.  The moment series h solves
+    h = p(t*h) for p = 1 + t*r(t).
     """
     check_orders(order)
     if order == 0:
         return (Fraction(1),)
-    rr = r.truncate(order - 1)
-    one_plus = Series1((Fraction(1),) + rr.coeffs)
-    return _tower_revert(one_plus.reciprocal()).shift_down().coeffs
+    return _lagrange(r.truncate(order - 1).shift_up() + 1).coeffs
 
 
 def free_convolve1(m1, m2) -> tuple[Fraction, ...]:
@@ -83,10 +82,7 @@ def free_convolve1(m1, m2) -> tuple[Fraction, ...]:
     a = normalize_moments(m1)
     b = normalize_moments(m2)
     n = min(len(a), len(b)) - 1
-    if n == 0:
-        return (Fraction(1),)
-    r = moments_to_r(a[: n + 1]) + moments_to_r(b[: n + 1])
-    return r_to_moments(r, n)
+    return _lagrange(_marginal(a[: n + 1])[1] + _marginal(b[: n + 1])[1] - 1).coeffs
 
 
 def subordination_series(m1, m2, order: int) -> tuple[Series1, Series1]:
@@ -96,7 +92,8 @@ def subordination_series(m1, m2, order: int) -> tuple[Series1, Series1]:
     jet (0, 1), satisfying ``t*h(t) = t1(t)*h1(t1(t)) = t2(t)*h2(t2(t))`` and
     ``h(t) = h1(t1(t)) + h2(t2(t)) - 1`` exactly to that order, where ``h``
     is the moment series of the sum.  Both inputs must provide moments up to
-    ``order``.
+    ``order``.  They are ``k1(t*h)`` and ``k2(t*h)`` for ``k1, k2`` the
+    inverses of ``t*h1(t)`` and ``t*h2(t)``.
     """
     check_orders(order)
     a = normalize_moments(m1)
@@ -105,9 +102,7 @@ def subordination_series(m1, m2, order: int) -> tuple[Series1, Series1]:
         raise ValueError("order must be at least 1")
     if len(a) <= order or len(b) <= order:
         raise ValueError(f"need moments up to order {order} for both inputs")
-    a = a[: order + 1]
-    b = b[: order + 1]
-    gsum = Series1(free_convolve1(a, b)).shift_up()
-    t1 = _tower_revert(Series1(a)).compose(gsum)
-    t2 = _tower_revert(Series1(b)).compose(gsum)
-    return t1.truncate(order), t2.truncate(order)
+    ka, pa = _marginal(a[: order + 1])
+    kb, pb = _marginal(b[: order + 1])
+    g = _lagrange(pa + pb - 1).shift_up()
+    return ka.compose(g).truncate(order), kb.compose(g).truncate(order)

@@ -12,7 +12,9 @@ from fractions import Fraction as F
 from bifree.io import to_json
 from bifree.oracle import LEFT, RIGHT, TruncationUnsound, basis_vector, rational_matrix
 from bifree.partial_r import PartialRTable, TwoBandsTable, compute_partial_r
+from bifree.rank1 import Rank1System
 from bifree.series import NotInvertible, Series1, Series2
+from bifree.transforms import moments_to_r, r_to_moments
 
 
 def random_table(rng, box, lo=-3, hi=3, denominators=(1,)):
@@ -198,6 +200,49 @@ def picard_revert(f: Series1) -> Series1:
     return g
 
 
+def reverted_moments_to_r(moments) -> Series1:
+    """Cumulants by reversion: k = revert(t*h) and 1 + z*r(z) = z / k(z)."""
+    k = Series1(moments).shift_up().revert()
+    return (k.shift_down().reciprocal() - 1).shift_down()
+
+
+def reverted_r_to_moments(r: Series1, order: int) -> tuple:
+    """Moments of a cumulant series by reversion: t*h = revert(t / (1 + t*r))."""
+    if order == 0:
+        return (F(1),)
+    p = r.truncate(order - 1).shift_up() + 1
+    return p.reciprocal().shift_up().revert().shift_down().coeffs
+
+
+def cumulant_sum_convolve1(m1, m2) -> tuple:
+    """Free convolution as the moments of the summed cumulant series."""
+    n = min(len(m1), len(m2)) - 1
+    if n == 0:
+        return (F(1),)
+    return r_to_moments(moments_to_r(m1[: n + 1]) + moments_to_r(m2[: n + 1]), n)
+
+
+def reverted_subordination(m1, m2, order: int) -> tuple:
+    """(revert(t*h1)(t*h), revert(t*h2)(t*h)) with h the moments of the sum."""
+    g = Series1(cumulant_sum_convolve1(m1[: order + 1], m2[: order + 1])).shift_up()
+    return tuple(
+        Series1(m[: order + 1]).shift_up().revert().compose(g).truncate(order)
+        for m in (m1, m2)
+    )
+
+
+def reverted_partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
+    """H = Q(t ha, s hb), Q = pa pb / (pa + pb - 1 - R), with t*ha = revert(z / pa)."""
+    pa = Series1(r.a_cumulants()) + 1
+    pb = Series1(r.b_cumulants()) + 1
+    m, n = r.box
+    linear = Series2.product(pa, [1] + [0] * n) + Series2.product([1] + [0] * m, pb) - 1
+    q = Series2.product(pa, pb) * (linear - r).reciprocal()
+    ga = pa.reciprocal().shift_up().revert()
+    gb = pb.reciprocal().shift_up().revert()
+    return TwoBandsTable(q.substitute(ga, gb).values)
+
+
 def antidiagonal_inverse(r: PartialRTable) -> TwoBandsTable:
     """Solve compute_partial_r(result) = r degree by degree.
 
@@ -215,6 +260,22 @@ def antidiagonal_inverse(r: PartialRTable) -> TwoBandsTable:
             j = d - i
             vals[i][j] = r.values[i][j] - partial.values[i][j]
     return TwoBandsTable(vals)
+
+
+def rank1_from_table(table: TwoBandsTable, lam_value) -> Rank1System:
+    """Single-pair system, both labels 0, from a rectangular moment table.
+
+    Stores every phi(a^p b^q) with p <= left order, q <= right order of
+    the table; the cap is the sum of the orders, so rectangular lookups
+    stay within the diagonal cap discipline.
+    """
+    two_bands = {
+        ((0,) * p, (0,) * q): table.values[p][q]
+        for p in range(table.left_order + 1)
+        for q in range(table.right_order + 1)
+    }
+    cap = table.left_order + table.right_order
+    return Rank1System((0,), (0,), {(0, 0): lam_value}, two_bands, cap)
 
 
 def mirrored_apply_right(product, k, mat, vec: dict) -> dict:

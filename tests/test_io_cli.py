@@ -61,6 +61,8 @@ def test_word_codec():
         parse_word("a")
     with pytest.raises(ParseError):
         parse_word("a\u0661")  # a non-ASCII digit
+    with pytest.raises(ValueError):
+        word_to_str([("Q", 3)])
     if DIGIT_LIMIT:
         with pytest.raises(ParseError):
             parse_word("a" + "1" * (DIGIT_LIMIT + 1))

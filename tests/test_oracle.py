@@ -200,6 +200,12 @@ def test_factor_mismatch():
         p.apply_right(0, identity_matrix(3), p.vacuum())
     with pytest.raises(FactorMismatch):
         p.factors[0].operator(LEFT, 9)
+    # a side other than LEFT or RIGHT names no operator
+    rep = shift_pair_rep(3, ((1, 2), (3, 1)))
+    with pytest.raises(FactorMismatch):
+        rep.operator("left", 0)
+    with pytest.raises(FactorMismatch):
+        rep.moment([("X", 0), (LEFT, 0)])
 
 
 def random_vector(rng, p, terms):

@@ -18,7 +18,12 @@ from bifree.partial_r import (
 )
 from bifree.series import NegativeOrder, Series2
 from bifree.transforms import BadNormalization, moments_to_r
-from helpers import antidiagonal_inverse, noncrossing_cumulants, random_table
+from helpers import (
+    antidiagonal_inverse,
+    noncrossing_cumulants,
+    random_table,
+    reverted_partial_r_to_moments,
+)
 
 
 tables33 = st.lists(
@@ -129,6 +134,8 @@ def test_closed_form_inverse_matches_antidiagonal_solver(box, data):
     rows = data.draw(st.lists(row, min_size=box[0] + 1, max_size=box[0] + 1))
     r = PartialRTable([[F(0)] + rows[0][1:], *rows[1:]])
     assert partial_r_to_moments(r) == antidiagonal_inverse(r)
+    # the marginal steps t*ha = t*Lagrange(pa) against revert(z / pa)
+    assert partial_r_to_moments(r) == reverted_partial_r_to_moments(r)
 
 
 @pytest.mark.parametrize("box", [(m, n) for m in range(8) for n in range(8 - m)])

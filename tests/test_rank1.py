@@ -26,7 +26,7 @@ from bifree.rank1 import (
     extract_system,
     mixed_moment,
 )
-from helpers import apply_sum, basis, left_action, right_action
+from helpers import apply_sum, basis, left_action, rank1_from_table, right_action
 
 
 def a(label=0):
@@ -45,7 +45,7 @@ def matrix_sum(x, y):
 
 
 def single_pair_system(table, lam):
-    return Rank1System.from_table(table, lam)
+    return rank1_from_table(table, lam)
 
 
 def demo_system():
@@ -80,6 +80,11 @@ def test_mixed_moment_rejects_unknown_index():
     s = demo_system()
     with pytest.raises(ValueError):
         mixed_moment(s, [(LEFT, 3)])
+    # a side that is neither LEFT nor RIGHT is refused, not read as a left letter
+    s = extract_system(shift_pair_rep(3, ((1, 2), (3, 1))), 4)
+    for word in ([("X", 0), (LEFT, 0)], [(RIGHT, 0), ("left", 0)]):
+        with pytest.raises(ValueError):
+            mixed_moment(s, word)
 
 
 def test_cap_is_enforced():
@@ -251,8 +256,8 @@ def test_phi_of_projector_is_one():
 def test_biconvolve_rank1_bipartite_stays_bipartite():
     t1 = TwoBandsTable.product([1, 2, 5, 14], [1, 1, 3, 7])
     t2 = TwoBandsTable.product([1, 0, 1, 0], [1, 1, 1, 1])
-    s1 = Rank1System.from_table(t1.truncate(2, 2), 0)
-    s2 = Rank1System.from_table(t2.truncate(2, 2), 0)
+    s1 = rank1_from_table(t1.truncate(2, 2), 0)
+    s2 = rank1_from_table(t2.truncate(2, 2), 0)
     out = biconvolve_rank1(s1, s2)
     assert out.lam == {}
     assert out.cap == 4
@@ -260,8 +265,8 @@ def test_biconvolve_rank1_bipartite_stays_bipartite():
 
 def test_biconvolve_rank1_identity():
     vals = [[F(1), F(2)], [F(3), F(4)]]
-    s = Rank1System.from_table(TwoBandsTable(vals), F(5))
-    zero = Rank1System.from_table(TwoBandsTable([[1, 0], [0, 0]]), 0)
+    s = rank1_from_table(TwoBandsTable(vals), F(5))
+    zero = rank1_from_table(TwoBandsTable([[1, 0], [0, 0]]), 0)
     out = biconvolve_rank1(s, zero)
     assert out.two_bands == s.two_bands
     assert out.coefficient(0, 0) == F(5)
@@ -299,7 +304,7 @@ def test_biconvolve_rank1_gaussian_coefficients_add():
 
 def test_biconvolve_rank1_rejects_multi_pairs():
     table = TwoBandsTable([[1, 0], [0, 0]])
-    s = Rank1System.from_table(table, 0)
+    s = rank1_from_table(table, 0)
     multi = Rank1System(
         (0, 1),
         (0,),
@@ -310,7 +315,7 @@ def test_biconvolve_rank1_rejects_multi_pairs():
     with pytest.raises(UnsupportedIndexSets):
         biconvolve_rank1(multi, multi)
     with pytest.raises(ValueError):
-        biconvolve_rank1(s, Rank1System.from_table(TwoBandsTable([[1]]), 0))
+        biconvolve_rank1(s, rank1_from_table(TwoBandsTable([[1]]), 0))
 
 
 def test_biconvolve_rank1_commutes_with_extraction():

@@ -13,6 +13,7 @@ from bifree.series import (
     Series1,
     Series2,
     ZeroConstantTerm,
+    _lagrange,
 )
 from helpers import (
     fraction_mul,
@@ -137,6 +138,20 @@ def test_lagrange_revert_matches_picard(order, lead, data):
     tail = data.draw(st.lists(entries, min_size=order - 1, max_size=order - 1))
     f = Series1([0, lead, *tail])
     assert f.revert() == picard_revert(f)
+
+
+@pytest.mark.parametrize("lead", [F(2), F(-3, 2), F(5, 3)])
+@pytest.mark.parametrize("order", range(13))
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_lagrange_solves_its_fixed_point(order, lead, data):
+    # u = phi(t*u), checked by Horner composition, with phi(0) not in {0, 1, -1}
+    entries = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+    tail = data.draw(st.lists(entries, min_size=order, max_size=order))
+    phi = Series1([lead, *tail])
+    u = _lagrange(phi)
+    assert u.order == order
+    assert u == horner_compose(phi, u.shift_up())
 
 
 @given(series1(5))
@@ -332,6 +347,13 @@ def test_truncate_rejects_negative_orders():
             h.truncate(*box)
     with pytest.raises(NegativeOrder):
         Series1.var(-1)
+    for order in (1.5, 2.0, F(1), True, "1"):
+        with pytest.raises(NegativeOrder):
+            f.truncate(order)
+        with pytest.raises(NegativeOrder):
+            h.truncate(1, order)
+        with pytest.raises(NegativeOrder):
+            Series1.var(order)
     assert issubclass(NegativeOrder, ValueError)
     assert f.truncate(0) == Series1([1])
     assert h.truncate(0, 0) == Series2([[1]])

@@ -15,6 +15,12 @@ from bifree.transforms import (
     r_to_moments,
     subordination_series,
 )
+from helpers import (
+    cumulant_sum_convolve1,
+    reverted_moments_to_r,
+    reverted_r_to_moments,
+    reverted_subordination,
+)
 
 
 def catalan(n):
@@ -70,6 +76,11 @@ def test_r_to_moments_trivial():
         r_to_moments(Series1([0, 0, 0]), -1)
     with pytest.raises(NegativeOrder):
         subordination_series((1, 0, 1), (1, 0, 1), -2)
+    for order in (2.0, 1.5, True):
+        with pytest.raises(NegativeOrder):
+            r_to_moments(Series1([0, 0, 0]), order)
+        with pytest.raises(NegativeOrder):
+            subordination_series((1, 0, 1), (1, 0, 1), order)
     with pytest.raises(ValueError) as info:
         subordination_series((1, 0, 1), (1, 0, 1), 0)
     assert info.type is ValueError
@@ -120,6 +131,28 @@ def test_bernoulli_convolution_is_arcsine():
 @settings(max_examples=30)
 def test_convolution_is_commutative(m1, m2):
     assert free_convolve1(m1, m2) == free_convolve1(m2, m1)
+
+
+def test_convolution_of_length_one_inputs():
+    m = (F(1), F(-1, 2), F(3))
+    for a, b in (([1], [1]), ([1], m), (m, (F(1),))):
+        assert free_convolve1(a, b) == (1,)
+        assert cumulant_sum_convolve1(a, b) == (1,)
+
+
+@given(moment_seqs, moment_seqs)
+@settings(max_examples=30, deadline=None)
+def test_lagrange_tower_matches_reversion_routes(m1, m2):
+    # each tower step against the reversion it replaced: k = revert(t*h),
+    # t*h = revert(t/p), convolution by summed cumulants, and subordination
+    # as k1(t*h), k2(t*h)
+    r = moments_to_r(m1)
+    assert r == reverted_moments_to_r(m1)
+    for order in range(len(m1)):
+        assert r_to_moments(r, order) == reverted_r_to_moments(r, order)
+    assert free_convolve1(m1, m2) == cumulant_sum_convolve1(m1, m2)
+    for order in range(1, min(len(m1), len(m2))):
+        assert subordination_series(m1, m2, order) == reverted_subordination(m1, m2, order)
 
 
 # -- subordination --
