@@ -131,8 +131,8 @@ class TwoFacedPairRep:
     __slots__ = ("dim", "left_ops", "right_ops", "reliable")
 
     def __init__(self, dim: int, left_ops, right_ops, reliable=None):
-        if dim < 1:
-            raise ValueError("a pair representation needs dimension >= 1")
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"a pair representation needs an int dimension >= 1, got {dim!r}")
         self.dim = dim
         self.left_ops = MappingProxyType({k: self._check(m) for k, m in dict(left_ops).items()})
         self.right_ops = MappingProxyType({k: self._check(m) for k, m in dict(right_ops).items()})
@@ -245,8 +245,8 @@ def shift_pair_rep(dim: int, omega) -> TwoFacedPairRep:
     the first dim-1 basis indices and moments of words of length up to
     2*(dim-1) are exact.
     """
-    if dim < 2:
-        raise ValueError("shift model needs dimension >= 2")
+    if type(dim) is not int or dim < 2:
+        raise ValueError(f"shift model needs an int dimension >= 2, got {dim!r}")
     ((a, b), (c, d)) = omega
 
     def combo(x, y):
@@ -279,8 +279,8 @@ def gaussian_pair_rep(h_left, hs_left, h_right, hs_right, fock_cutoff: int) -> T
     Commutation identities hold below the cutoff layer, and moments of words
     of length up to 2*fock_cutoff are exact.
     """
-    if fock_cutoff < 1:
-        raise ValueError("fock_cutoff must be >= 1")
+    if type(fock_cutoff) is not int or fock_cutoff < 1:
+        raise ValueError(f"fock_cutoff must be an int >= 1, got {fock_cutoff!r}")
     h_left = rational_vector(h_left)
     hs_left = rational_vector(hs_left)
     h_right = rational_vector(h_right)

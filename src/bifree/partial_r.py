@@ -15,16 +15,17 @@ Both directions of the conversion are one pass of the pole-free identity
 
 where ``H(t, s) = sum phi(a^m b^n) t^m s^n``, ``ra, rb`` are the marginal
 free cumulant series and ``ka, kb`` the inverses of ``t*ha(t)``, ``s*hb(s)``.
-Forward, the marginal moments give ``ka`` and ``1 + z ra`` (and the same for
-b) by the one-variable tower step and the identity gives R.  Backward,
-column 0 and row 0 of R are ``z ra`` and ``w rb``, so the denominator
-``1 + z ra + w rb - R`` is known, and solving for H gives
+Forward, the marginal moments give ``ka`` and ``kb`` by the one-variable
+tower step; S = H(ka, kb) has column 0 ``1 + z ra`` and row 0 ``1 + w rb``,
+so the identity gives R from S's own marginals.  Backward, column 0 and
+row 0 of R are ``z ra`` and ``w rb``; they cancel in the denominator, which
+is D = 1 - (the mixed part of R), and solving for H gives
 
-    H(t, s) = Q(t ha(t), s hb(s)),
-    Q(z, w) = (1 + z ra(z)) (1 + w rb(w)) / (1 + z ra(z) + w rb(w) - R(z, w))
+    H(t, s) = Q(t ha(t), s hb(s)),    Q(z, w) = (1 + z ra(z)) (1 + w rb(w)) / D(z, w)
 
 with ``ha = (1 + t ra)(t ha)`` solved by one Lagrange step.  Every step is
-an exact operation on truncated rational series.
+exact; between the marginals and the output both directions run on integer
+grids over one denominator.
 
 Tables are immutable after construction and all functions here are pure, so
 values can be shared between threads freely.
@@ -34,8 +35,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import BoxMismatch, Series1, Series2, _lagrange
-from .transforms import BadNormalization, _marginal
+from .series import BoxMismatch, Series1, Series2, _convolve, _fractions, _lagrange, _reciprocal
+from .series import _reduced, _scaled, _substitute
+from .transforms import BadNormalization
 
 __all__ = [
     "TwoBandsTable",
@@ -92,41 +94,50 @@ class PartialRTable(Series2):
         return self.values[0]
 
 
-def _frame(pa: Series1, pb: Series1):
-    """(pa + pb - 1, pa * pb) for pa = 1 + z ra(z) in z and pb = 1 + w rb(w) in w."""
-    linear = [[pa[i]] + [Fraction(0)] * pb.order for i in range(pa.order + 1)]
-    linear[0] = [pa[0] + pb[0] - 1] + list(pb.coeffs[1:])
-    return Series2(linear), Series2.product(pa, pb)
+def _quotient(col, row, grid, den):
+    """(ints, d) of col(z) row(w) / grid(z, w) for integer col, row and grid over den."""
+    inverse, d = _reciprocal(grid, den)
+    outer = [[x * y for y in row] for x in col]
+    return _reduced(_convolve(outer, inverse, len(col) - 1, len(row) - 1), den * den * d)
 
 
 def compute_partial_r(table: TwoBandsTable) -> PartialRTable:
     """Two-bands bi-free cumulant table of a two-bands moment table.
 
     Exact on the whole input box: R[m][n] is a universal integer polynomial
-    in the moments phi(a^p b^q) with p <= m, q <= n.
+    in the moments phi(a^p b^q) with p <= m, q <= n.  With S = H(ka, kb),
+    S(z, 0) = 1 + z ra and S(0, w) = 1 + w rb exactly, so R is
+    S(z, 0) + S(0, w) - 1 - S(z, 0) S(0, w) / S on S's own integer grid.
     """
-    ka, pa = _marginal(table.a_moments())
-    kb, pb = _marginal(table.b_moments())
-    linear, product = _frame(pa, pb)
-    frac = table.substitute(ka, kb).reciprocal()
-    return PartialRTable((linear - product * frac).values)
+    ka = _lagrange(Series1(table.a_moments()).reciprocal()).shift_up()
+    kb = _lagrange(Series1(table.b_moments()).reciprocal()).shift_up()
+    s, ds = _substitute(*_scaled(table.values), ka, kb)
+    col, row = [x[0] for x in s], s[0]
+    q, dq = _quotient(col, row, s, ds)
+    linear = [[x] + [0] * (len(row) - 1) for x in col]
+    linear[0] = [col[0] + row[0] - ds] + row[1:]
+    return PartialRTable([[Fraction(u * dq - v * ds, ds * dq) for u, v in zip(lr, qr)]
+                          for lr, qr in zip(linear, q)])
 
 
 def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
     """The unique moment table whose cumulant table is ``r``.
 
     One pass of the identity solved for H: with pa = 1 + z ra(z) and
-    pb = 1 + w rb(w) read off column 0 and row 0 of ``r``,
-    H = Q(t ha(t), s hb(s)) for Q = pa pb / (pa + pb - 1 - R), where
+    pb = 1 + w rb(w) read off column 0 and row 0 of ``r``, row 0 and
+    column 0 cancel in pa + pb - 1 - R, which leaves D = 1 - (the mixed
+    part of R).  Then H = Q(t ha(t), s hb(s)) for Q = pa pb / D, where
     ha = pa(t ha) and likewise for b.
     """
-    pa = Series1(r.a_cumulants()) + 1
-    pb = Series1(r.b_cumulants()) + 1
-    linear, product = _frame(pa, pb)
-    q = product * (linear - r).reciprocal()
-    ga = _lagrange(pa).shift_up()
-    gb = _lagrange(pb).shift_up()
-    return TwoBandsTable(q.substitute(ga, gb).values)
+    rho, d = _scaled(r.values)
+    a = [row[0] for row in rho]
+    b = list(rho[0])
+    a[0] = b[0] = d  # 1 + R[0][0] = 1
+    grid = [[-x if i and j else 0 for j, x in enumerate(row)] for i, row in enumerate(rho)]
+    grid[0][0] = d
+    ga = _lagrange(Series1(r.a_cumulants()) + 1).shift_up()
+    gb = _lagrange(Series1(r.b_cumulants()) + 1).shift_up()
+    return TwoBandsTable(_fractions(*_substitute(*_quotient(a, b, grid, d), ga, gb)))
 
 
 def biconvolve(t1: TwoBandsTable, t2: TwoBandsTable) -> TwoBandsTable:

@@ -32,7 +32,7 @@ from .oracle import (
     state_projector,
 )
 from .partial_r import TwoBandsTable, biconvolve
-from .series import as_fraction
+from .series import as_fraction, check_orders
 
 __all__ = [
     "CapExceeded",
@@ -122,9 +122,10 @@ class Rank1System:
 
     def table(self, box) -> TwoBandsTable:
         """Rectangular two-bands table of a single-pair system."""
+        m, n = box
+        check_orders(m, n)
         self._require_single_pair()
         i, j = self.left_indices[0], self.right_indices[0]
-        m, n = box
         return TwoBandsTable(
             [[self.phi((i,) * p, (j,) * q) for q in range(n + 1)] for p in range(m + 1)]
         )

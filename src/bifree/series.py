@@ -10,8 +10,9 @@ zero; for that reason series can be truncated but never padded.
 The two-variable product, and the reciprocal and substitution in both
 classes, run on Python ints: each operand grid is scaled to integers over
 the LCM of its denominators, and one Fraction is built per output
-coefficient.  A one-variable series enters these kernels as a one-column
-grid.
+coefficient.  The reciprocal and substitution kernels take and return a
+reduced integer grid over one denominator, so they chain without Fractions.
+A one-variable series enters these kernels as a one-column grid.
 
 Values are immutable and hashable and may be shared freely between threads.
 """
@@ -19,7 +20,7 @@ Values are immutable and hashable and may be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     "Series1",
@@ -167,12 +168,13 @@ class Series1:
 
     def reciprocal(self) -> "Series1":
         """Series g with self * g = 1 up to the order of self."""
-        return Series1([c for (c,) in _reciprocal([(c,) for c in self.coeffs])])
+        column, d = _reciprocal(*_scaled([c] for c in self.coeffs))
+        return Series1([Fraction(x, d) for (x,) in column])
 
     def compose(self, g: "Series1") -> "Series1":
         """self(g(t)) to order min(self.order, g.order); g must vanish at 0."""
-        column = _substitute([(c,) for c in self.coeffs], g, Series1([0]))
-        return Series1([c for (c,) in column])
+        column, d = _substitute(*_scaled([c] for c in self.coeffs), g, Series1([0]))
+        return Series1([Fraction(x, d) for (x,) in column])
 
     def revert(self) -> "Series1":
         """Compositional inverse: g with self(g(t)) = t up to the order.
@@ -292,14 +294,13 @@ class Series2:
         m, n = self._min_box(other)
         a, da = _scaled(row[: n + 1] for row in self.values[: m + 1])
         b, db = _scaled(row[: n + 1] for row in other.values[: m + 1])
-        den = da * db
-        return Series2([[Fraction(c, den) for c in row] for row in _convolve(a, b, m, n)])
+        return Series2(_fractions(_convolve(a, b, m, n), da * db))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Series2":
         """Series g with self * g = 1 on the box of self."""
-        return Series2(_reciprocal(self.values))
+        return Series2(_fractions(*_reciprocal(*_scaled(self.values))))
 
     def substitute(self, f: Series1, g: Series1) -> "Series2":
         """self(f(z), g(w)) for inner series vanishing at 0.
@@ -308,20 +309,19 @@ class Series2:
         inner orders: beyond that the substituted coefficients would depend
         on unknown data.
         """
-        return Series2(_substitute(self.values, f, g))
+        return Series2(_fractions(*_substitute(*_scaled(self.values), f, g)))
 
 
-def _reciprocal(grid):
-    """Fraction rows of 1 / grid on its box; the corner must be nonzero.
+def _reciprocal(a, d):
+    """(ints, den) of 1 / (a / d) for an integer grid a; the corner must be nonzero.
 
-    Fraction-free: with grid = A / d over integers and a0 = A[0][0], the
-    scaled coefficients B[p][q] = a0^(p+q+1) (1/A)[p][q] are integers and
-    B[p][q] = -sum over (i, j) != (0, 0) of A[i][j] a0^(i+j-1) B[p-i][q-j],
-    so the result is d B[p][q] / a0^(p+q+1).
+    Fraction-free: with a0 = a[0][0], the scaled coefficients
+    B[p][q] = a0^(p+q+1) (1/a)[p][q] are integers and
+    B[p][q] = -sum over (i, j) != (0, 0) of a[i][j] a0^(i+j-1) B[p-i][q-j],
+    so the result is d B[p][q] a0^(m+n-p-q) over a0^(m+n+1), reduced.
     """
-    if grid[0][0] == 0:
+    if a[0][0] == 0:
         raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
-    a, d = _scaled(grid)
     m, n = len(a) - 1, len(a[0]) - 1
     a0 = a[0][0]
     powers = [1]
@@ -342,30 +342,29 @@ def _reciprocal(grid):
                         if ai[j]:
                             acc -= ai[j] * bi[q - j]
                 b[p][q] = acc
-    return [[Fraction(d * x, powers[p + q + 1]) for q, x in enumerate(row)]
-            for p, row in enumerate(b)]
+    return _reduced([[d * x * powers[m + n - p - q] for q, x in enumerate(row)]
+                     for p, row in enumerate(b)], powers[m + n + 1])
 
 
-def _substitute(grid, f: Series1, g: Series1):
-    """Fraction rows of grid(f(z), g(w)) for inner series vanishing at 0.
+def _substitute(grid, dh, f: Series1, g: Series1):
+    """(ints, den) of (grid / dh)(f(z), g(w)) for inner series vanishing at 0.
 
-    The box is (min(m, f.order), min(n, g.order)) for a grid on (m, n).
-    With F[p][i] = [z^i] f^p and G[q][j] = [w^j] g^q the result is F^T H G,
-    computed in two passes, T = H G and then F^T T, on integers over one
-    common denominator.
+    The box is (min(m, f.order), min(n, g.order)) for an integer grid on
+    (m, n).  With F[p][i] = [z^i] f^p and G[q][j] = [w^j] g^q the result is
+    F^T H G, computed in two passes, T = H G and then F^T T, on integers
+    over one common denominator, reduced.
     """
     if f.coeffs[0] != 0 or g.coeffs[0] != 0:
         raise NonzeroConstantSubstitution("substituted series must vanish at 0")
     m = min(len(grid) - 1, f.order)
     n = min(len(grid[0]) - 1, g.order)
-    h, dh = _scaled(row[: n + 1] for row in grid[: m + 1])
+    h = [row[: n + 1] for row in grid[: m + 1]]
     fp, df = _power_rows(f, m)
     gq, dg = _power_rows(g, n)
     # g^q starts at w^q, so only q <= j and p <= i contribute
     t = [[sum(row[q] * gq[q][j] for q in range(j + 1)) for j in range(n + 1)] for row in h]
-    den = dh * df**m * dg**n
-    return [[Fraction(sum(fp[p][i] * t[p][j] for p in range(i + 1)), den) for j in range(n + 1)]
-            for i in range(m + 1)]
+    return _reduced([[sum(fp[p][i] * t[p][j] for p in range(i + 1)) for j in range(n + 1)]
+                     for i in range(m + 1)], dh * df**m * dg**n)
 
 
 def _scaled(grid):
@@ -376,6 +375,24 @@ def _scaled(grid):
         for v in row:
             d = lcm(d, v.denominator)
     return [[v.numerator * (d // v.denominator) for v in row] for row in grid], d
+
+
+def _reduced(ints, den):
+    """(ints, den) over their gcd with den > 0: the LCM _scaled finds on the reduced Fractions."""
+    g = den
+    for row in ints:
+        for x in row:
+            g = gcd(g, x)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return ints, den
+    return [[x // g for x in row] for row in ints], den // g
+
+
+def _fractions(ints, den):
+    """The Fraction rows of ints / den, one Fraction per entry."""
+    return [[Fraction(x, den) for x in row] for row in ints]
 
 
 def _convolve(a, b, m, n):

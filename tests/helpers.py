@@ -14,7 +14,7 @@ from bifree.oracle import LEFT, RIGHT, TruncationUnsound, basis_vector, rational
 from bifree.partial_r import PartialRTable, TwoBandsTable, compute_partial_r
 from bifree.rank1 import Rank1System
 from bifree.series import NotInvertible, Series1, Series2
-from bifree.transforms import moments_to_r, r_to_moments
+from bifree.transforms import _marginal, moments_to_r, r_to_moments
 
 
 def random_table(rng, box, lo=-3, hi=3, denominators=(1,)):
@@ -241,6 +241,17 @@ def reverted_partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
     ga = pa.reciprocal().shift_up().revert()
     gb = pb.reciprocal().shift_up().revert()
     return TwoBandsTable(q.substitute(ga, gb).values)
+
+
+def framed_compute_partial_r(table: TwoBandsTable) -> PartialRTable:
+    """R = (pa + pb - 1) - pa(z) pb(w) / H(ka(z), kb(w)) on public Series2 operations,
+    with (ka, pa) and (kb, pb) from the marginal tower step."""
+    ka, pa = _marginal(table.a_moments())
+    kb, pb = _marginal(table.b_moments())
+    m, n = table.box
+    linear = Series2.product(pa, [1] + [0] * n) + Series2.product([1] + [0] * m, pb) - 1
+    frac = table.substitute(ka, kb).reciprocal()
+    return PartialRTable((linear - Series2.product(pa, pb) * frac).values)
 
 
 def antidiagonal_inverse(r: PartialRTable) -> TwoBandsTable:

@@ -316,6 +316,18 @@ def test_two_bands_table_matches_moment():
                 assert table.values[i][j] == rep.moment(word)
 
 
+def test_dimensions_and_cutoffs_must_be_ints():
+    vectors = [[F(1), F(0)]] * 4
+    for bad in (1.5, 2.5, True, "3", 0):
+        with pytest.raises(ValueError):
+            TwoFacedPairRep(bad, {}, {})
+        with pytest.raises(ValueError):
+            shift_pair_rep(bad, ((1, 2), (3, 1)))
+        with pytest.raises(ValueError):
+            gaussian_pair_rep(*vectors, fock_cutoff=bad)
+    assert gaussian_pair_rep(*vectors, fock_cutoff=1).dim == 3
+
+
 def test_shift_identity_omega_gives_shift_pair():
     rep = shift_pair_rep(4, [[1, 0], [0, 1]])
     table = two_bands_table(rep, (3, 3))

@@ -17,9 +17,10 @@ from bifree.partial_r import (
     partial_r_to_moments,
 )
 from bifree.series import NegativeOrder, Series2
-from bifree.transforms import BadNormalization, moments_to_r
+from bifree.transforms import BadNormalization, _marginal, moments_to_r
 from helpers import (
     antidiagonal_inverse,
+    framed_compute_partial_r,
     noncrossing_cumulants,
     random_table,
     reverted_partial_r_to_moments,
@@ -136,6 +137,32 @@ def test_closed_form_inverse_matches_antidiagonal_solver(box, data):
     assert partial_r_to_moments(r) == antidiagonal_inverse(r)
     # the marginal steps t*ha = t*Lagrange(pa) against revert(z / pa)
     assert partial_r_to_moments(r) == reverted_partial_r_to_moments(r)
+
+
+@pytest.mark.parametrize("box", [(m, n) for m in range(7) for n in range(7)])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_integer_pipeline_matches_framed_route(box, data):
+    # both directions against the Fraction-grid route they replaced; the
+    # denominators make every scaled grid's LCM differ from 1 in most draws
+    entries = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+    row = st.lists(entries, min_size=box[1] + 1, max_size=box[1] + 1)
+    rows = data.draw(st.lists(row, min_size=box[0] + 1, max_size=box[0] + 1))
+    table = TwoBandsTable([[F(1)] + rows[0][1:], *rows[1:]])
+    r = compute_partial_r(table)
+    assert r == framed_compute_partial_r(table)
+    assert partial_r_to_moments(r) == table
+    rows = data.draw(st.lists(row, min_size=box[0] + 1, max_size=box[0] + 1))
+    r = PartialRTable([[F(0)] + rows[0][1:], *rows[1:]])
+    moments = partial_r_to_moments(r)
+    assert moments == reverted_partial_r_to_moments(r)
+    assert framed_compute_partial_r(moments) == r
+    # S = H(ka, kb) has the marginals pa, pb as its column 0 and row 0
+    ka, pa = _marginal(table.a_moments())
+    kb, pb = _marginal(table.b_moments())
+    s = table.substitute(ka, kb)
+    assert tuple(x[0] for x in s.values) == pa.coeffs
+    assert s.values[0] == pb.coeffs
 
 
 @pytest.mark.parametrize("box", [(m, n) for m in range(8) for n in range(8 - m)])

@@ -26,6 +26,7 @@ from bifree.rank1 import (
     extract_system,
     mixed_moment,
 )
+from bifree.series import NegativeOrder
 from helpers import apply_sum, basis, left_action, rank1_from_table, right_action
 
 
@@ -99,6 +100,14 @@ def test_cap_is_enforced():
             Rank1System((0,), (0,), {}, {((), ()): F(1)}, cap)
         with pytest.raises(ValueError):
             extract_system(rep, cap)
+
+
+def test_table_rejects_bad_boxes():
+    s = rank1_from_table(TwoBandsTable([[1, 2], [3, 4]]), 0)
+    for box in ((-1, 1), (1, -1), (1.5, 1), (1, True)):
+        with pytest.raises(NegativeOrder):
+            s.table(box)
+    assert s.table((1, 1)) == TwoBandsTable([[1, 2], [3, 4]])
 
 
 def _naive_normalize(system, word):

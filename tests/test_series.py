@@ -14,6 +14,10 @@ from bifree.series import (
     Series2,
     ZeroConstantTerm,
     _lagrange,
+    _reciprocal,
+    _reduced,
+    _scaled,
+    _substitute,
 )
 from helpers import (
     fraction_mul,
@@ -247,6 +251,30 @@ def test_substitute_matches_fraction_loop(box, data):
     out = h.substitute(f, g)
     assert out.box == (min(box[0], f.order), min(box[1], g.order))
     assert out == fraction_substitute(h, f, g)
+
+
+@pytest.mark.parametrize("box", [(0, 0), (0, 3), (2, 0), (3, 2)])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_reduced_matches_scaled_fractions(box, data):
+    m, n = box
+    # entries share factors with den often; den may be negative
+    ints = data.draw(st.lists(st.lists(st.sampled_from([0, 1, -2, 3, 4, -6, 12, 30, -45]),
+                                       min_size=n + 1, max_size=n + 1),
+                              min_size=m + 1, max_size=m + 1))
+    den = data.draw(st.sampled_from([1, -1, 2, -4, 6, 9, -12, 60]))
+    assert _reduced(ints, den) == _scaled([F(x, den) for x in row] for row in ints)
+
+
+@pytest.mark.parametrize("box", BOXES)
+@given(data=st.data())
+@settings(max_examples=2, deadline=None)
+def test_kernels_return_reduced_grids(box, data):
+    # every kernel reduces its output, so the next one starts from the LCM
+    x = grid(data, box, corner=units)
+    assert _reciprocal(*_scaled(x.values)) == _scaled(x.reciprocal().values)
+    f, g = inner_series(data), inner_series(data)
+    assert _substitute(*_scaled(x.values), f, g) == _scaled(x.substitute(f, g).values)
 
 
 # the one-variable reciprocal and composition are one-column grids in the
