@@ -26,17 +26,7 @@ from .partial_r import PartialRTable, TwoBandsTable
 from .rank1 import Rank1System
 from .transforms import normalize_moments
 
-__all__ = [
-    "FORMAT_VERSION",
-    "ParseError",
-    "rational_to_json",
-    "rational_from_json",
-    "word_to_str",
-    "parse_word",
-    "to_json",
-    "from_json",
-    "load_path",
-]
+__all__ = ["ParseError", "parse_word", "to_json", "load_path"]
 
 FORMAT_VERSION = "1"
 

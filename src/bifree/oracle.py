@@ -14,8 +14,9 @@ Vectors of the product space are sparse dicts keyed by alternating words
 exactly when no operator word longer than that is evaluated: applying one
 operator grows a word by at most one letter.
 
-Matrices are tuples of row tuples of ``fractions.Fraction``; the products
-below skip zero entries, which the sparse shift and Fock models are full of.
+Matrices are tuples of row tuples of ``fractions.Fraction``.  ``_inner`` and
+``_matvec`` skip zero entries, which the sparse shift and Fock models are
+full of.
 Representations and product states are read-only after construction, so
 evaluations may run in parallel.
 """
@@ -36,14 +37,6 @@ __all__ = [
     "TruncationUnsound",
     "TwoFacedPairRep",
     "ProductState",
-    "rational_matrix",
-    "rational_vector",
-    "state_projector",
-    "commutator",
-    "inner",
-    "dot",
-    "matvec",
-    "vecmat",
     "gaussian_pair_rep",
     "shift_pair_rep",
     "two_bands_table",
@@ -62,27 +55,22 @@ class TruncationUnsound(ValueError):
     """Requested evaluation exceeds the range the truncation keeps exact."""
 
 
-def rational_vector(entries) -> tuple:
+def _rational_vector(entries) -> tuple:
     return tuple(as_fraction(v) for v in entries)
 
 
-def rational_matrix(rows) -> tuple:
-    mat = tuple(rational_vector(row) for row in rows)
+def _rational_matrix(rows) -> tuple:
+    mat = tuple(_rational_vector(row) for row in rows)
     if any(len(row) != len(mat) for row in mat):
         raise ValueError("expected a square matrix")
     return mat
 
 
-def basis_vector(dim: int, i: int = 0) -> tuple:
+def _basis_vector(dim: int, i: int = 0) -> tuple:
     return tuple(Fraction(int(r == i)) for r in range(dim))
 
 
-def state_projector(dim: int) -> tuple:
-    """The rank-one idempotent onto the state vector e0."""
-    return (basis_vector(dim),) + ((Fraction(0),) * dim,) * (dim - 1)
-
-
-def inner(u, v) -> Fraction:
+def _inner(u, v) -> Fraction:
     """sum u[i] v[i], skipping zero entries."""
     acc = Fraction(0)
     for x, y in zip(u, v):
@@ -91,31 +79,9 @@ def inner(u, v) -> Fraction:
     return acc
 
 
-def matvec(mat, vec) -> tuple:
+def _matvec(mat, vec) -> tuple:
     """mat @ vec."""
-    return tuple(inner(row, vec) for row in mat)
-
-
-def vecmat(vec, mat) -> tuple:
-    """vec @ mat, skipping zero entries."""
-    out = [Fraction(0)] * len(mat[0])
-    for x, row in zip(vec, mat):
-        if x:
-            for c, y in enumerate(row):
-                if y:
-                    out[c] += x * y
-    return tuple(out)
-
-
-def dot(a, b) -> tuple:
-    """The matrix product a @ b."""
-    return tuple(vecmat(row, b) for row in a)
-
-
-def commutator(a, b) -> tuple:
-    return tuple(
-        tuple(x - y for x, y in zip(u, v)) for u, v in zip(dot(a, b), dot(b, a))
-    )
+    return tuple(_inner(row, vec) for row in mat)
 
 
 class TwoFacedPairRep:
@@ -139,12 +105,13 @@ class TwoFacedPairRep:
         if reliable is None:
             self.reliable = tuple(range(dim))
         else:
+            reliable = tuple(reliable)
+            if any(type(c) is not int or not 0 <= c < dim for c in reliable):
+                raise ValueError(f"reliable indices must be ints in range({dim}), got {reliable}")
             self.reliable = tuple(sorted(set(reliable)))
-            if self.reliable and not (0 <= self.reliable[0] and self.reliable[-1] < dim):
-                raise ValueError("reliable indices out of range")
 
     def _check(self, mat) -> tuple:
-        mat = rational_matrix(mat)
+        mat = _rational_matrix(mat)
         if len(mat) != self.dim:
             raise FactorMismatch(
                 f"operator shape {(len(mat), len(mat))} does not fit dimension {self.dim}"
@@ -162,9 +129,9 @@ class TwoFacedPairRep:
 
         ``word`` lists (side, label) pairs in product order.
         """
-        vec = basis_vector(self.dim)
+        vec = _basis_vector(self.dim)
         for side, label in reversed(tuple(word)):
-            vec = matvec(self.operator(side, label), vec)
+            vec = _matvec(self.operator(side, label), vec)
         return vec[0]
 
 
@@ -182,7 +149,7 @@ class ProductState:
         self.max_word_len = max_word_len
 
     def _factor(self, k) -> TwoFacedPairRep:
-        if not 0 <= k < len(self.factors):
+        if type(k) is not int or not 0 <= k < len(self.factors):
             raise FactorMismatch(f"no factor {k!r}")
         return self.factors[k]
 
@@ -260,7 +227,7 @@ def shift_pair_rep(dim: int, omega) -> TwoFacedPairRep:
     return TwoFacedPairRep(dim, {0: combo(a, b)}, {0: combo(c, d)}, reliable=range(dim - 1))
 
 
-def fock_words(hilbert_dim: int, cutoff: int) -> list:
+def _fock_words(hilbert_dim: int, cutoff: int) -> list:
     """Tensor words over range(hilbert_dim) of length <= cutoff, ordered by
     length then lexicographically; the empty word is the vacuum."""
     out = []
@@ -281,15 +248,15 @@ def gaussian_pair_rep(h_left, hs_left, h_right, hs_right, fock_cutoff: int) -> T
     """
     if type(fock_cutoff) is not int or fock_cutoff < 1:
         raise ValueError(f"fock_cutoff must be an int >= 1, got {fock_cutoff!r}")
-    h_left = rational_vector(h_left)
-    hs_left = rational_vector(hs_left)
-    h_right = rational_vector(h_right)
-    hs_right = rational_vector(hs_right)
+    h_left = _rational_vector(h_left)
+    hs_left = _rational_vector(hs_left)
+    h_right = _rational_vector(h_right)
+    hs_right = _rational_vector(hs_right)
     hdim = len(h_left)
     if not (len(hs_left) == len(h_right) == len(hs_right) == hdim) or hdim < 1:
         raise ValueError("the four vectors must share one positive dimension")
 
-    words = fock_words(hdim, fock_cutoff)
+    words = _fock_words(hdim, fock_cutoff)
     index = {w: i for i, w in enumerate(words)}
     dim = len(words)
 

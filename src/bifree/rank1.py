@@ -20,17 +20,7 @@ from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
 
-from .oracle import (
-    LEFT,
-    RIGHT,
-    TwoFacedPairRep,
-    _bump,
-    basis_vector,
-    commutator,
-    inner,
-    matvec,
-    state_projector,
-)
+from .oracle import LEFT, RIGHT, TwoFacedPairRep, _basis_vector, _bump, _inner, _matvec
 from .partial_r import TwoBandsTable, biconvolve
 from .series import as_fraction, check_orders
 
@@ -225,36 +215,54 @@ def _columns(ops, labels, dim: int, length: int) -> dict:
     Rows come out too: e0^T a_{i1} .. a_{ip} is the column of the
     transposed operators on the reversed word (i_p, .., i_1).
     """
-    frontier = {(): basis_vector(dim)}
+    frontier = {(): _basis_vector(dim)}
     cols = dict(frontier)
     for _ in range(length):
         frontier = {
-            (j,) + word: matvec(ops[j], vec) for word, vec in frontier.items() for j in labels
+            (j,) + word: _matvec(ops[j], vec) for word, vec in frontier.items() for j in labels
         }
         cols.update(frontier)
     return cols
+
+
+def _commutator_column(a_cols, b_cols, c: int) -> list:
+    """Column c of [a, b], that is a (b e_c) - b (a e_c), from the columns
+    of a and b, skipping zero entries."""
+    out = [Fraction(0)] * len(a_cols)
+    for cols, vec, sign in ((a_cols, b_cols[c], 1), (b_cols, a_cols[c], -1)):
+        for k, x in enumerate(vec):
+            if x:
+                x *= sign
+                for r, y in enumerate(cols[k]):
+                    if y:
+                        out[r] += x * y
+    return out
 
 
 def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
     """Read a rank <= 1 system off an operator model.
 
     The coefficient lam[i, j] is the (0, 0) entry of the commutator
-    [a_i, b_j]; the full lam * P shape is verified on the model's reliable
-    columns and NotRank1 raised otherwise.  Two-bands moments are computed
-    directly on the model space for every IJ-word of total length <= cap;
-    for truncation-built models the caller must keep cap within the range
-    where those moments are exact.
+    [a_i, b_j]; the lam * P shape is verified one reliable column at a time,
+    and NotRank1 raised at the first column that fails it.  Two-bands
+    moments are computed directly on the model space for every IJ-word of
+    total length <= cap; for truncation-built models the caller must keep
+    cap within the range where those moments are exact.
     """
     _check_cap(cap)
     dim = rep.dim
-    proj = state_projector(dim)
+    # the transposes hold the operators' columns; left_t also builds the rows
+    left_t = {i: tuple(zip(*a)) for i, a in rep.left_ops.items()}
+    right_t = {j: tuple(zip(*b)) for j, b in rep.right_ops.items()}
     lam = {}
-    for i, a in rep.left_ops.items():
-        for j, b in rep.right_ops.items():
-            comm = commutator(a, b)
-            lam_ij = comm[0][0]
+    for i, a_cols in left_t.items():
+        for j, b_cols in right_t.items():
+            first = _commutator_column(a_cols, b_cols, 0)
+            lam_ij = first[0]
             for c in rep.reliable:
-                if any(comm[r][c] != lam_ij * proj[r][c] for r in range(dim)):
+                col = first if c == 0 else _commutator_column(a_cols, b_cols, c)
+                # lam P e_c is lam e0 for c = 0 and zero otherwise
+                if any(col[1:]) or (c and col[0]):
                     raise NotRank1(
                         f"[a_{i}, b_{j}] is not a multiple of the state projector "
                         f"on reliable column {c}"
@@ -268,7 +276,6 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
     # phi(a_{i1}..a_{ip} b_{j1}..b_{jq}) = row(i-word) . col(j-word); a row is
     # the column of the transposed left operators on the reversed word.
     cols = _columns(rep.right_ops, right_labels, dim, cap)
-    left_t = {i: tuple(zip(*a)) for i, a in rep.left_ops.items()}
     rows = _columns(left_t, left_labels, dim, cap)
 
     two_bands = {}
@@ -277,6 +284,6 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
             row = rows[iw[::-1]]
             for q in range(cap + 1 - p):
                 for jw in product(right_labels, repeat=q):
-                    two_bands[(iw, jw)] = inner(row, cols[jw])
+                    two_bands[(iw, jw)] = _inner(row, cols[jw])
     return Rank1System(left_labels, right_labels, lam, two_bands, cap)
 

@@ -26,7 +26,7 @@ from .rank1 import extract_system, mixed_moment
 from .series import Series1, Series2
 from .transforms import subordination_series
 
-__all__ = ["run_selfcheck", "SUITES"]
+__all__ = ["run_selfcheck"]
 
 
 def _rand_matrix(rng, dim, lo=-2, hi=2):
@@ -189,10 +189,11 @@ def run_selfcheck(seed: int, size: int = 2, corrupt: bool = False):
     """Run every suite; returns (report text, all passed).
 
     The report is a deterministic function of (seed, size, corrupt).  A
-    size below 1 would draw no instance, so it raises ValueError.
+    size that is not an int, or below 1 and so drawing no instance, raises
+    ValueError.
     """
-    if size < 1:
-        raise ValueError(f"selfcheck size must be >= 1, got {size}")
+    if type(size) is not int or size < 1:
+        raise ValueError(f"selfcheck size must be >= 1 and of type int, got {size!r}")
     lines = []
     passed = 0
     for name, check in SUITES:

@@ -30,7 +30,6 @@ __all__ = [
     "NonzeroConstantSubstitution",
     "NegativeOrder",
     "BoxMismatch",
-    "as_fraction",
 ]
 
 

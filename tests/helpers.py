@@ -10,9 +10,9 @@ import itertools
 from fractions import Fraction as F
 
 from bifree.io import to_json
-from bifree.oracle import LEFT, RIGHT, TruncationUnsound, basis_vector, rational_matrix
+from bifree.oracle import LEFT, RIGHT, TruncationUnsound, _basis_vector, _rational_matrix
 from bifree.partial_r import PartialRTable, TwoBandsTable, compute_partial_r
-from bifree.rank1 import Rank1System
+from bifree.rank1 import NotRank1, Rank1System
 from bifree.series import NotInvertible, Series1, Series2
 from bifree.transforms import _marginal, moments_to_r, r_to_moments
 
@@ -29,7 +29,56 @@ def random_table(rng, box, lo=-3, hi=3, denominators=(1,)):
 
 
 def identity_matrix(dim: int) -> tuple:
-    return tuple(basis_vector(dim, i) for i in range(dim))
+    return tuple(_basis_vector(dim, i) for i in range(dim))
+
+
+def state_projector(dim: int) -> tuple:
+    """The rank-one idempotent onto the state vector e0."""
+    return (_basis_vector(dim),) + ((F(0),) * dim,) * (dim - 1)
+
+
+def matmul(a, b) -> tuple:
+    """The dense matrix product a @ b, skipping zero entries of a."""
+    out = []
+    for row in a:
+        acc = [F(0)] * len(b[0])
+        for x, b_row in zip(row, b):
+            if x:
+                for c, y in enumerate(b_row):
+                    acc[c] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def commutator(a, b) -> tuple:
+    """The full matrix a @ b - b @ a."""
+    return tuple(
+        tuple(x - y for x, y in zip(u, v)) for u, v in zip(matmul(a, b), matmul(b, a))
+    )
+
+
+def dense_lam(rep) -> dict:
+    """The coefficients extract_system reads off ``rep``, from full commutators.
+
+    lam[i, j] is the (0, 0) entry of [a_i, b_j]; every reliable column must
+    equal that of lam[i, j] * P, else NotRank1 names the first one that
+    does not, with extract_system's message.
+    """
+    proj = state_projector(rep.dim)
+    lam = {}
+    for i, a in rep.left_ops.items():
+        for j, b in rep.right_ops.items():
+            comm = commutator(a, b)
+            lam_ij = comm[0][0]
+            for c in rep.reliable:
+                if any(comm[r][c] != lam_ij * proj[r][c] for r in range(rep.dim)):
+                    raise NotRank1(
+                        f"[a_{i}, b_{j}] is not a multiple of the state projector "
+                        f"on reliable column {c}"
+                    )
+            if lam_ij:
+                lam[(i, j)] = lam_ij
+    return lam
 
 
 def save_path(path, obj):
@@ -295,7 +344,7 @@ def mirrored_apply_right(product, k, mat, vec: dict) -> dict:
     read and written where apply_left reads and writes the first.
     """
     dim = product.factors[k].dim
-    cols = tuple(zip(*rational_matrix(mat)))
+    cols = tuple(zip(*_rational_matrix(mat)))
     out: dict = {}
 
     def bump(word, value):

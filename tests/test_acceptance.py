@@ -15,8 +15,8 @@ from bifree.oracle import (
     RIGHT,
     ProductState,
     TwoFacedPairRep,
+    _rational_matrix,
     gaussian_pair_rep,
-    rational_matrix,
     shift_pair_rep,
     sum_two_bands_table,
     two_bands_table,
@@ -152,7 +152,7 @@ def test_criterion_6_alternating_factorization():
     def centered(dim):
         mat = [[F(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
         mat[0][0] = F(0)
-        return rational_matrix(mat)
+        return _rational_matrix(mat)
 
     def pair_moment(k, a, b):
         single = ProductState([reps[k]], max_word_len=2)

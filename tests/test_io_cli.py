@@ -23,6 +23,7 @@ from bifree.io import (
 from bifree.oracle import LEFT, RIGHT, shift_pair_rep
 from bifree.partial_r import PartialRTable, TwoBandsTable, compute_partial_r
 from bifree.rank1 import Rank1System, extract_system
+from bifree.selfcheck import run_selfcheck
 from bifree.transforms import BadNormalization
 from helpers import random_table, save_path
 
@@ -360,6 +361,12 @@ def test_selfcheck_size_below_1_exits_2(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "size must be >= 1" in captured.err
+
+
+def test_run_selfcheck_size_must_be_an_int():
+    for size in (1.5, True, 2.0, "2", 0):
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            run_selfcheck(0, size)
 
 
 def test_selfcheck_seed_env(monkeypatch, capsys):

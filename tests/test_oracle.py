@@ -16,11 +16,9 @@ from bifree.oracle import (
     ProductState,
     TruncationUnsound,
     TwoFacedPairRep,
-    commutator,
+    _rational_matrix,
     gaussian_pair_rep,
-    rational_matrix,
     shift_pair_rep,
-    state_projector,
     sum_two_bands_table,
     two_bands_table,
 )
@@ -29,12 +27,14 @@ from bifree.series import NegativeOrder
 from helpers import (
     apply_sum,
     basis,
+    commutator,
     identity_matrix,
     joint_moment,
     left_action,
     mirrored_apply_right,
     nested_sum_two_bands_table,
     right_action,
+    state_projector,
 )
 
 
@@ -46,7 +46,7 @@ def rand_rep(rng, dim, lo=-2, hi=2):
 def centered(rng, dim, corner=F(0)):
     mat = [[F(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
     mat[0][0] = corner
-    return rational_matrix(mat)
+    return _rational_matrix(mat)
 
 
 def two_factor_product(rng, dims=(2, 3), max_word_len=6):
@@ -67,7 +67,7 @@ def test_scalar_action_on_state_vector():
     # vector by its expectation alone
     rng = random.Random(1)
     p = two_factor_product(rng, (3, 2), max_word_len=3)
-    mat = rational_matrix([[F(7, 2), 1, 0], [0, 1, 1], [0, 2, 0]])
+    mat = _rational_matrix([[F(7, 2), 1, 0], [0, 1, 1], [0, 2, 0]])
     out = p.apply_left(0, mat, p.vacuum())
     assert out == {(): F(7, 2)}
     out = p.apply_right(0, mat, p.vacuum())
@@ -198,6 +198,12 @@ def test_factor_mismatch():
         p.apply_right(5, identity_matrix(2), p.vacuum())
     with pytest.raises(FactorMismatch):
         p.apply_right(0, identity_matrix(3), p.vacuum())
+    # a factor index is an int: True is not factor 1, nor 0.0 factor 0
+    for k, dim in ((True, 3), (0.0, 2), (1.0, 3), ("0", 2)):
+        with pytest.raises(FactorMismatch):
+            p.apply_left(k, identity_matrix(dim), p.vacuum())
+        with pytest.raises(FactorMismatch):
+            p.apply_right(k, identity_matrix(dim), p.vacuum())
     with pytest.raises(FactorMismatch):
         p.factors[0].operator(LEFT, 9)
     # a side other than LEFT or RIGHT names no operator
@@ -325,6 +331,11 @@ def test_dimensions_and_cutoffs_must_be_ints():
             shift_pair_rep(bad, ((1, 2), (3, 1)))
         with pytest.raises(ValueError):
             gaussian_pair_rep(*vectors, fock_cutoff=bad)
+    # reliable column indices are ints too: 0.0 and True are not read as 0 and 1
+    for reliable in ([1.5], [0.0], [True], [0, "1"], [3], [-1]):
+        with pytest.raises(ValueError):
+            TwoFacedPairRep(3, {}, {}, reliable=reliable)
+    assert TwoFacedPairRep(3, {}, {}, reliable=[2, 0, 2]).reliable == (0, 2)
     assert gaussian_pair_rep(*vectors, fock_cutoff=1).dim == 3
 
 

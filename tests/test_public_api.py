@@ -1,0 +1,82 @@
+"""The public API is what the program itself uses.
+
+A name belongs in a submodule's ``__all__`` only if the package re-exports
+it, or if the command line, a demo, the benchmark harness or the package's
+console scripts use it.  Helpers that only the library and its tests call
+carry a leading underscore instead.
+"""
+
+import ast
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import bifree
+
+ROOT = Path(__file__).resolve().parent.parent
+SUBMODULES = sorted(
+    f"bifree.{info.name}" for info in pkgutil.iter_modules(bifree.__path__)
+)
+
+
+def _dotted(node) -> str | None:
+    """``a.b.c`` for a chain of attribute reads on a plain name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        return ".".join([node.id] + parts[::-1])
+    return None
+
+
+def _uses(path: Path, package: str | None = None) -> set:
+    """(module, name) pairs that the source at ``path`` imports or reads.
+
+    ``package`` resolves relative imports for a file inside ``bifree``.
+    """
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"{package}.{module}" if module else package
+            used.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            dotted = _dotted(node)
+            if dotted and dotted.startswith("bifree."):
+                module, _, name = dotted.rpartition(".")
+                used.add((module, name))
+    return used
+
+
+def program_uses() -> set:
+    used = _uses(ROOT / "src" / "bifree" / "cli.py", package="bifree")
+    for pattern in ("demos/*.py", "perfbench/*.py"):
+        for path in sorted(ROOT.glob(pattern)):
+            used |= _uses(path)
+    # the console scripts: name = "module:function" lines of [project.scripts]
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.partition("[project.scripts]")[2].partition("\n[")[0]
+    used.update(re.findall(r'^[\w-]+\s*=\s*"([\w.]+):(\w+)"', scripts, re.M))
+    return used
+
+
+def test_every_exported_name_is_defined():
+    for name in SUBMODULES:
+        module = importlib.import_module(name)
+        for export in getattr(module, "__all__", ()):
+            assert hasattr(module, export), f"{name}.__all__ lists undefined {export!r}"
+
+
+def test_every_exported_name_is_used_by_the_program():
+    used = program_uses()
+    top = set(bifree.__all__)
+    unused = [
+        f"{name}.{export}"
+        for name in SUBMODULES
+        for export in getattr(importlib.import_module(name), "__all__", ())
+        if export not in top and (name, export) not in used
+    ]
+    assert unused == []

@@ -27,7 +27,7 @@ from bifree.rank1 import (
     mixed_moment,
 )
 from bifree.series import NegativeOrder
-from helpers import apply_sum, basis, left_action, rank1_from_table, right_action
+from helpers import apply_sum, basis, dense_lam, left_action, rank1_from_table, right_action
 
 
 def a(label=0):
@@ -237,6 +237,43 @@ def test_extract_rejects_higher_rank_commutators():
     rep = TwoFacedPairRep(3, {0: x}, {0: y})
     with pytest.raises(NotRank1):
         extract_system(rep, cap=3)
+
+
+def test_column_check_matches_dense_commutators():
+    # extract_system reads commutator columns; dense_lam builds every full
+    # commutator.  Both must give the same lam, or name the same column.
+    rng = random.Random(40)
+    entries = (0, 0, 0, 1, -1, 2, F(1, 2))
+
+    def random_rep():
+        dim = rng.randint(1, 5)
+        mk = lambda: [[rng.choice(entries) for _ in range(dim)] for _ in range(dim)]
+        labels = lambda: {k: mk() for k in range(rng.randint(1, 2))}
+        reliable = rng.choice(
+            [[], range(1, dim), None, [c for c in range(dim) if rng.random() < 0.5]]
+        )
+        return TwoFacedPairRep(dim, labels(), labels(), reliable=reliable)
+
+    def outcome(extract, rep):
+        try:
+            return extract(rep)
+        except NotRank1 as exc:
+            return str(exc)
+
+    reps = [random_rep() for _ in range(600)]
+    for _ in range(10):
+        omega = [[rng.choice(entries) for _ in range(2)] for _ in range(2)]
+        reps.append(shift_pair_rep(rng.randint(2, 6), omega))
+        vectors = [[rng.choice(entries) for _ in range(2)] for _ in range(4)]
+        reps.append(gaussian_pair_rep(*vectors, fock_cutoff=rng.randint(1, 3)))
+    seen = set()
+    for rep in reps:
+        got = outcome(lambda r: dict(extract_system(r, cap=1).lam), rep)
+        assert got == outcome(dense_lam, rep)
+        seen.add("raised" if isinstance(got, str) else "lam" if got else "zero")
+        if isinstance(got, str) and not got.endswith("column 0"):
+            seen.add("raised past column 0")
+    assert seen == {"raised", "raised past column 0", "lam", "zero"}
 
 
 def test_systems_are_immutable():
