@@ -14,9 +14,15 @@ Vectors of the product space are sparse dicts keyed by alternating words
 exactly when no operator word longer than that is evaluated: applying one
 operator grows a word by at most one letter.
 
-Matrices are tuples of row tuples of ``fractions.Fraction``.  ``_inner`` and
-``_matvec`` skip zero entries, which the sparse shift and Fock models are
-full of.
+A representation stores its matrices as tuples of row tuples of
+``fractions.Fraction``; ``_inner`` and ``_matvec``, which evaluate a moment on
+the factor's own space, skip zero entries, which the sparse shift and Fock
+models are full of.  The model tables scale each band's operators to ints
+once, over the LCM D of their denominators (``_integral``), and run the lift
+kernel ``_lift`` on ints; a vector after p steps is then exact over D^p, and
+each table entry is one ``Fraction`` at the end.  ``apply_left`` and
+``apply_right`` run the same kernel on the Fractions they are given, and
+:func:`bifree.rank1.extract_system` scales its operators the same way.
 Representations and product states are read-only after construction, so
 evaluations may run in parallel.
 """
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 
 from .partial_r import TwoBandsTable
@@ -68,6 +75,21 @@ def _rational_matrix(rows) -> tuple:
 
 def _basis_vector(dim: int, i: int = 0) -> tuple:
     return tuple(Fraction(int(r == i)) for r in range(dim))
+
+
+def _integral(mats) -> tuple:
+    """(ints, D) for a dict of Fraction matrices: mats[k] = ints[k] / D, with
+    D the LCM of every entry's denominator."""
+    d = 1
+    for mat in mats.values():
+        for row in mat:
+            for x in row:
+                d = lcm(d, x.denominator)
+    ints = {
+        k: tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in mat)
+        for k, mat in mats.items()
+    }
+    return ints, d
 
 
 def _inner(u, v) -> Fraction:
@@ -162,26 +184,8 @@ class ProductState:
     def apply_left(self, k, mat, vec: dict) -> dict:
         """Apply the left representation of factor k's operator ``mat``."""
         factor = self._factor(k)
-        cols = tuple(zip(*factor._check(mat)))
-        dim = factor.dim
         out: dict = {}
-        for word, c in vec.items():
-            if word and word[0][0] == k:
-                col = cols[word[0][1]]
-                rest = word[1:]
-                if col[0]:
-                    _bump(out, rest, c * col[0])
-                for r in range(1, dim):
-                    if col[r]:
-                        _bump(out, ((k, r),) + rest, c * col[r])
-            else:
-                col = cols[0]
-                if col[0]:
-                    _bump(out, word, c * col[0])
-                if len(word) < self.max_word_len:
-                    for r in range(1, dim):
-                        if col[r]:
-                            _bump(out, ((k, r),) + word, c * col[r])
+        _lift(out, k, tuple(zip(*factor._check(mat))), self.max_word_len, vec)
         return {w: v for w, v in out.items() if v}
 
     def apply_right(self, k, mat, vec: dict) -> dict:
@@ -192,6 +196,32 @@ class ProductState:
         length <= max_word_len onto themselves, so the truncation agrees.
         """
         return _reversed(self.apply_left(k, mat, _reversed(vec)))
+
+
+def _lift(out: dict, k: int, cols, max_word_len: int, vec: dict):
+    """Add to ``out`` the left lift of factor k's operator, given by its
+    columns, applied to ``vec``.
+
+    The numbers may be Fractions or ints scaled over a common denominator.
+    """
+    dim = len(cols)
+    for word, c in vec.items():
+        if word and word[0][0] == k:
+            col = cols[word[0][1]]
+            rest = word[1:]
+            if col[0]:
+                _bump(out, rest, c * col[0])
+            for r in range(1, dim):
+                if col[r]:
+                    _bump(out, ((k, r),) + rest, c * col[r])
+        else:
+            col = cols[0]
+            if col[0]:
+                _bump(out, word, c * col[0])
+            if len(word) < max_word_len:
+                for r in range(1, dim):
+                    if col[r]:
+                        _bump(out, ((k, r),) + word, c * col[r])
 
 
 def _bump(d: dict, key, value):
@@ -299,7 +329,11 @@ def sum_two_bands_table(product: ProductState, box) -> TwoBandsTable:
     Omega^T A^p with the column B^q Omega, for A and B the summed left and
     right lifts.  The row is the column of the transposed left operators,
     because on the word basis the lift of a transpose is the transpose of
-    the lift.
+    the lift.  The column is the left band of the right operators read
+    backwards, since the right lift is the left lift conjugated by reversal.
+    Each band runs on its operators scaled to ints over the LCM of their
+    denominators, D_L and D_R, so entry (p, q) is the int pairing over
+    D_L^p D_R^q.
     """
     m, n = box
     check_orders(m, n)
@@ -308,26 +342,33 @@ def sum_two_bands_table(product: ProductState, box) -> TwoBandsTable:
             f"box {box} needs words of length {m + n} but max_word_len is "
             f"{product.max_word_len}"
         )
-    left_t = [tuple(zip(*f.operator(LEFT, 0))) for f in product.factors]
-    right = [f.operator(RIGHT, 0) for f in product.factors]
-    rows = _band(product.vacuum(), product.apply_left, left_t, m)
-    cols = _band(product.vacuum(), product.apply_right, right, n)
-    return TwoBandsTable([[_pair(row, col) for col in cols] for row in rows])
+    # the columns of a transposed left operator are its rows
+    left, dl = _integral({k: f.operator(LEFT, 0) for k, f in enumerate(product.factors)})
+    right, dr = _integral(
+        {k: tuple(zip(*f.operator(RIGHT, 0))) for k, f in enumerate(product.factors)}
+    )
+    rows = _band(left, product.max_word_len, m)
+    cols = [_reversed(vec) for vec in _band(right, product.max_word_len, n)]
+    return TwoBandsTable._from_fractions(
+        tuple(Fraction(_pair(row, col), dl**p * dr**q) for q, col in enumerate(cols))
+        for p, row in enumerate(rows)
+    )
 
 
-def _band(vec: dict, apply, ops, length: int) -> list:
-    """[vec, X vec, .., X^length vec] for X the sum over k of apply(k, ops[k], .)."""
+def _band(cols, max_word_len: int, length: int) -> list:
+    """[Omega, X Omega, .., X^length Omega] for X the sum over k of the left
+    lifts of the operators with columns cols[k]."""
+    vec = {(): 1}
     band = [vec]
     for _ in range(length):
         out: dict = {}
-        for k, mat in enumerate(ops):
-            for w, v in apply(k, mat, vec).items():
-                _bump(out, w, v)
+        for k, factor_cols in cols.items():
+            _lift(out, k, factor_cols, max_word_len, vec)
         vec = {w: v for w, v in out.items() if v}
         band.append(vec)
     return band
 
 
-def _pair(u: dict, v: dict) -> Fraction:
+def _pair(u: dict, v: dict) -> int:
     """sum_w u[w] v[w], over the words both vectors hold."""
-    return sum((c * v[w] for w, c in u.items() if w in v), Fraction(0))
+    return sum(c * v[w] for w, c in u.items() if w in v)

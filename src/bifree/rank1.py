@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from types import MappingProxyType
 
-from .oracle import LEFT, RIGHT, TwoFacedPairRep, _basis_vector, _bump, _inner, _matvec
+from .oracle import LEFT, RIGHT, TwoFacedPairRep, _bump, _integral
 from .partial_r import TwoBandsTable, biconvolve
 from .series import as_fraction, check_orders
 
@@ -158,6 +159,10 @@ def mixed_moment(system: Rank1System, word) -> Fraction:
     from the state projector, then evaluates every canonical IJ-word against
     the stored two-bands moments.
     """
+    # Stays on Fraction: a prototype on ints, with lam and phi scaled by one
+    # D, made the perfbench oracle workload 2.6-2.7x faster instead of 1.8x,
+    # but perfbench keeps one latency per op run, and the extra runs raised
+    # its peak RSS by 3.4-3.9%, too close to the 5% bound.
     v = {((), ()): Fraction(1)}
     for letter in word:
         side, k = letter
@@ -213,22 +218,25 @@ def _columns(ops, labels, dim: int, length: int) -> dict:
     with q <= length, each built from its suffix one operator at a time.
 
     Rows come out too: e0^T a_{i1} .. a_{ip} is the column of the
-    transposed operators on the reversed word (i_p, .., i_1).
+    transposed operators on the reversed word (i_p, .., i_1).  The
+    operators are int matrices, so the columns are int tuples.
     """
-    frontier = {(): _basis_vector(dim)}
+    frontier = {(): (1,) + (0,) * (dim - 1)}
     cols = dict(frontier)
     for _ in range(length):
         frontier = {
-            (j,) + word: _matvec(ops[j], vec) for word, vec in frontier.items() for j in labels
+            (j,) + word: tuple(sum(map(mul, row, vec)) for row in ops[j])
+            for word, vec in frontier.items()
+            for j in labels
         }
         cols.update(frontier)
     return cols
 
 
 def _commutator_column(a_cols, b_cols, c: int) -> list:
-    """Column c of [a, b], that is a (b e_c) - b (a e_c), from the columns
-    of a and b, skipping zero entries."""
-    out = [Fraction(0)] * len(a_cols)
+    """Column c of [a, b], that is a (b e_c) - b (a e_c), from the int
+    columns of a and b, skipping zero entries."""
+    out = [0] * len(a_cols)
     for cols, vec, sign in ((a_cols, b_cols[c], 1), (b_cols, a_cols[c], -1)):
         for k, x in enumerate(vec):
             if x:
@@ -248,17 +256,22 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
     moments are computed directly on the model space for every IJ-word of
     total length <= cap; for truncation-built models the caller must keep
     cap within the range where those moments are exact.
+
+    The left operators are scaled to ints over the LCM D_L of their
+    denominators and the right ones over D_R, so a commutator entry is exact
+    over D_L D_R and phi(a_{i1}..a_{ip} b_{j1}..b_{jq}) over D_L^p D_R^q.
     """
     _check_cap(cap)
     dim = rep.dim
+    left, dl = _integral(rep.left_ops)
+    right, dr = _integral(rep.right_ops)
     # the transposes hold the operators' columns; left_t also builds the rows
-    left_t = {i: tuple(zip(*a)) for i, a in rep.left_ops.items()}
-    right_t = {j: tuple(zip(*b)) for j, b in rep.right_ops.items()}
+    left_t = {i: tuple(zip(*a)) for i, a in left.items()}
+    right_t = {j: tuple(zip(*b)) for j, b in right.items()}
     lam = {}
     for i, a_cols in left_t.items():
         for j, b_cols in right_t.items():
             first = _commutator_column(a_cols, b_cols, 0)
-            lam_ij = first[0]
             for c in rep.reliable:
                 col = first if c == 0 else _commutator_column(a_cols, b_cols, c)
                 # lam P e_c is lam e0 for c = 0 and zero otherwise
@@ -267,15 +280,15 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
                         f"[a_{i}, b_{j}] is not a multiple of the state projector "
                         f"on reliable column {c}"
                     )
-            if lam_ij:
-                lam[(i, j)] = lam_ij
+            if first[0]:
+                lam[(i, j)] = Fraction(first[0], dl * dr)
 
     left_labels = tuple(sorted(rep.left_ops))
     right_labels = tuple(sorted(rep.right_ops))
 
     # phi(a_{i1}..a_{ip} b_{j1}..b_{jq}) = row(i-word) . col(j-word); a row is
     # the column of the transposed left operators on the reversed word.
-    cols = _columns(rep.right_ops, right_labels, dim, cap)
+    cols = _columns(right, right_labels, dim, cap)
     rows = _columns(left_t, left_labels, dim, cap)
 
     two_bands = {}
@@ -283,7 +296,7 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
         for iw in product(left_labels, repeat=p):
             row = rows[iw[::-1]]
             for q in range(cap + 1 - p):
+                den = dl**p * dr**q
                 for jw in product(right_labels, repeat=q):
-                    two_bands[(iw, jw)] = _inner(row, cols[jw])
+                    two_bands[(iw, jw)] = Fraction(sum(map(mul, row, cols[jw])), den)
     return Rank1System(left_labels, right_labels, lam, two_bands, cap)
-

@@ -3,14 +3,23 @@
 The references are earlier algorithms of the library, kept here only as
 independent oracles: each reaches the same exact values by a different
 route than the library code it checks.  The free-product references work on
-a ``ProductState`` through its two actions alone.
+a ``ProductState`` through its two actions alone, in Fractions.
 """
 
 import itertools
 from fractions import Fraction as F
+from itertools import product as iproduct
 
 from bifree.io import to_json
-from bifree.oracle import LEFT, RIGHT, TruncationUnsound, _basis_vector, _rational_matrix
+from bifree.oracle import (
+    LEFT,
+    RIGHT,
+    TruncationUnsound,
+    _basis_vector,
+    _inner,
+    _matvec,
+    _rational_matrix,
+)
 from bifree.partial_r import PartialRTable, TwoBandsTable, compute_partial_r
 from bifree.rank1 import NotRank1, Rank1System
 from bifree.series import NotInvertible, Series1, Series2
@@ -79,6 +88,57 @@ def dense_lam(rep) -> dict:
             if lam_ij:
                 lam[(i, j)] = lam_ij
     return lam
+
+
+def fraction_extract_system(rep, cap: int) -> Rank1System:
+    """extract_system in Fractions: the commutator columns and the two-bands
+    rows and columns are built from the model's Fraction matrices."""
+    left_t = {i: tuple(zip(*a)) for i, a in rep.left_ops.items()}
+    right_t = {j: tuple(zip(*b)) for j, b in rep.right_ops.items()}
+
+    def commutator_column(a_cols, b_cols, c):
+        out = [F(0)] * rep.dim
+        for cols, vec, sign in ((a_cols, b_cols[c], 1), (b_cols, a_cols[c], -1)):
+            for k, x in enumerate(vec):
+                for r, y in enumerate(cols[k]):
+                    out[r] += sign * x * y
+        return out
+
+    lam = {}
+    for i, a_cols in left_t.items():
+        for j, b_cols in right_t.items():
+            first = commutator_column(a_cols, b_cols, 0)
+            for c in rep.reliable:
+                col = first if c == 0 else commutator_column(a_cols, b_cols, c)
+                if any(col[1:]) or (c and col[0]):
+                    raise NotRank1(
+                        f"[a_{i}, b_{j}] is not a multiple of the state projector "
+                        f"on reliable column {c}"
+                    )
+            if first[0]:
+                lam[(i, j)] = first[0]
+
+    def columns(ops, labels):
+        frontier = {(): _basis_vector(rep.dim)}
+        cols = dict(frontier)
+        for _ in range(cap):
+            frontier = {
+                (j,) + word: _matvec(ops[j], vec) for word, vec in frontier.items() for j in labels
+            }
+            cols.update(frontier)
+        return cols
+
+    left_labels = tuple(sorted(rep.left_ops))
+    right_labels = tuple(sorted(rep.right_ops))
+    cols = columns(rep.right_ops, right_labels)
+    rows = columns(left_t, left_labels)
+    two_bands = {}
+    for p in range(cap + 1):
+        for iw in iproduct(left_labels, repeat=p):
+            for q in range(cap + 1 - p):
+                for jw in iproduct(right_labels, repeat=q):
+                    two_bands[(iw, jw)] = _inner(rows[iw[::-1]], cols[jw])
+    return Rank1System(left_labels, right_labels, lam, two_bands, cap)
 
 
 def save_path(path, obj):
@@ -431,6 +491,34 @@ def joint_moment(product, word) -> F:
         apply = product.apply_left if side == LEFT else product.apply_right
         vec = apply(k, mat, vec)
     return product.expectation(vec)
+
+
+def fraction_sum_two_bands_table(product, box) -> TwoBandsTable:
+    """The model table by Fraction bands through the product's two actions:
+    entry (p, q) pairs the row Omega^T A^p, the band of the transposed left
+    operators under apply_left, with the column B^q Omega under apply_right."""
+    m, n = box
+
+    def band(apply, ops, length):
+        vec = product.vacuum()
+        out = [vec]
+        for _ in range(length):
+            total: dict = {}
+            for k, mat in enumerate(ops):
+                for w, v in apply(k, mat, vec).items():
+                    total[w] = total.get(w, 0) + v
+            vec = {w: v for w, v in total.items() if v}
+            out.append(vec)
+        return out
+
+    left_t = [tuple(zip(*f.operator(LEFT, 0))) for f in product.factors]
+    right = [f.operator(RIGHT, 0) for f in product.factors]
+    rows = band(product.apply_left, left_t, m)
+    cols = band(product.apply_right, right, n)
+    return TwoBandsTable(
+        [[sum((c * col[w] for w, c in row.items() if w in col), F(0)) for col in cols]
+         for row in rows]
+    )
 
 
 def nested_sum_two_bands_table(product, box):

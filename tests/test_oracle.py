@@ -16,6 +16,7 @@ from bifree.oracle import (
     ProductState,
     TruncationUnsound,
     TwoFacedPairRep,
+    _integral,
     _rational_matrix,
     gaussian_pair_rep,
     shift_pair_rep,
@@ -28,6 +29,7 @@ from helpers import (
     apply_sum,
     basis,
     commutator,
+    fraction_sum_two_bands_table,
     identity_matrix,
     joint_moment,
     left_action,
@@ -417,3 +419,55 @@ def test_additivity_against_series_route():
         t2 = two_bands_table(reps[1], (3, 3))
         p = ProductState(reps, max_word_len=6)
         assert sum_two_bands_table(p, (3, 3)) == biconvolve(t1, t2)
+
+
+def word_count(dims, length):
+    """How many words of length <= ``length`` the free product of factors of
+    dimensions ``dims`` has."""
+    ending = [0] * len(dims)  # words of the current length, by last factor
+    total = 1
+    for step in range(length):
+        ending = [
+            (d - 1) * (1 if step == 0 else sum(ending) - ending[k]) for k, d in enumerate(dims)
+        ]
+        total += sum(ending)
+    return total
+
+
+def test_int_tables_match_fraction_route():
+    # the int bands against the Fraction bands they replaced and against the
+    # nested loop, with operator denominators that differ between the
+    # factors and between the faces
+    rng = random.Random(30)
+
+    def rational_rep(dim):
+        def mk():
+            dens = rng.sample((1, 2, 3, 5), rng.randint(1, 2))
+            return [[F(rng.randint(-3, 3), rng.choice(dens)) for _ in range(dim)]
+                    for _ in range(dim)]
+
+        return TwoFacedPairRep(dim, {0: mk()}, {0: mk()})
+
+    seen = set()
+    cases = 0
+    while cases < 150:
+        dims = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        if word_count(dims, m + n) > 3000:
+            continue
+        cases += 1
+        reps = [rational_rep(d) for d in dims]
+        p = ProductState(reps, m + n + rng.randint(0, 1))
+        got = sum_two_bands_table(p, (m, n))
+        assert got == fraction_sum_two_bands_table(p, (m, n))
+        assert got == nested_sum_two_bands_table(p, (m, n))
+        assert two_bands_table(reps[0], (m, n)) == fraction_sum_two_bands_table(
+            ProductState(reps[:1], m + n), (m, n)
+        )
+        dl = [_integral({0: r.operator(LEFT, 0)})[1] for r in reps]
+        dr = [_integral({0: r.operator(RIGHT, 0)})[1] for r in reps]
+        if m and n:
+            seen.add("faces differ" if dl != dr else "faces agree")
+        if m and n and (max(dl) > 1 or max(dr) > 1) and len(set(dl)) > 1 and len(set(dr)) > 1:
+            seen.add("factors differ")
+    assert seen == {"faces differ", "faces agree", "factors differ"}

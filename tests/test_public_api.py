@@ -80,3 +80,25 @@ def test_every_exported_name_is_used_by_the_program():
         if export not in top and (name, export) not in used
     ]
     assert unused == []
+
+
+def test_the_oracle_imports_no_series_kernel():
+    # The operator oracle checks the series route, so it must not share that
+    # route's kernels: from bifree.series it takes only input validation, and
+    # no private name from any module but the oracle itself.
+    allowed = {"as_fraction", "check_orders"}
+    for module in ("oracle", "rank1"):
+        tree = ast.parse((ROOT / "src" / "bifree" / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+                assert not any(n.split(".")[0] == "bifree" for n in names), (module, names)
+            elif isinstance(node, ast.ImportFrom):
+                source = "bifree." * bool(node.level) + (node.module or "")
+                for alias in node.names:
+                    where = f"{module}.py imports {alias.name} from {source}"
+                    if source == "bifree.series":
+                        assert alias.name in allowed, where
+                    elif source.startswith("bifree"):
+                        assert alias.name != "series", where
+                        assert not alias.name.startswith("_") or source == "bifree.oracle", where

@@ -27,7 +27,15 @@ from bifree.rank1 import (
     mixed_moment,
 )
 from bifree.series import NegativeOrder
-from helpers import apply_sum, basis, dense_lam, left_action, rank1_from_table, right_action
+from helpers import (
+    apply_sum,
+    basis,
+    dense_lam,
+    fraction_extract_system,
+    left_action,
+    rank1_from_table,
+    right_action,
+)
 
 
 def a(label=0):
@@ -274,6 +282,60 @@ def test_column_check_matches_dense_commutators():
         if isinstance(got, str) and not got.endswith("column 0"):
             seen.add("raised past column 0")
     assert seen == {"raised", "raised past column 0", "lam", "zero"}
+
+
+def test_int_extraction_matches_fraction_route():
+    # extract_system scales each face to ints; the Fraction route and the
+    # dense commutators must give the same lam and two-bands moments, or the
+    # same NotRank1 message, with denominators that differ between the faces
+    rng = random.Random(41)
+
+    def rational(dens):
+        return F(rng.choice((0, 0, 1, -1, 2, -3)), rng.choice(dens))
+
+    def dens():
+        return rng.sample((1, 2, 3, 5), rng.randint(1, 2))
+
+    def random_rep():
+        dim = rng.randint(1, 4)
+
+        def face():
+            ds = dens()
+            mk = lambda: [[rational(ds) for _ in range(dim)] for _ in range(dim)]
+            return {k: mk() for k in rng.sample((0, 1, 2), rng.randint(1, 2))}
+
+        reliable = rng.choice([[], [0], None, [c for c in range(dim) if rng.random() < 0.5]])
+        return TwoFacedPairRep(dim, face(), face(), reliable=reliable)
+
+    def outcome(extract, rep):
+        try:
+            return extract(rep)
+        except NotRank1 as exc:
+            return str(exc)
+
+    reps = [random_rep() for _ in range(150)]
+    for _ in range(15):
+        left, right = dens(), dens()
+        omega = [[rational(left), rational(left)], [rational(right), rational(right)]]
+        reps.append(shift_pair_rep(rng.randint(2, 5), omega))
+        left, right = dens(), dens()
+        vectors = [[rational(ds) for _ in range(2)] for ds in (left, left, right, right)]
+        reps.append(gaussian_pair_rep(*vectors, fock_cutoff=rng.randint(1, 2)))
+    seen = set()
+    for rep in reps:
+        cap = rng.randint(0, 4)
+        got = outcome(lambda r: extract_system(r, cap), rep)
+        want = outcome(lambda r: fraction_extract_system(r, cap), rep)
+        if isinstance(got, str):
+            assert got == want == outcome(dense_lam, rep)
+            seen.add("raised")
+            continue
+        assert (got.lam, got.two_bands, got.cap) == (want.lam, want.two_bands, want.cap)
+        assert got.lam == dense_lam(rep)
+        seen.add("lam" if got.lam else "zero")
+        if any(v.denominator > 1 for v in got.lam.values()):
+            seen.add("rational lam")
+    assert seen == {"raised", "lam", "zero", "rational lam"}
 
 
 def test_systems_are_immutable():
