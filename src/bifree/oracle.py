@@ -349,8 +349,8 @@ def sum_two_bands_table(product: ProductState, box) -> TwoBandsTable:
     )
     rows = _band(left, product.max_word_len, m)
     cols = [_reversed(vec) for vec in _band(right, product.max_word_len, n)]
-    return TwoBandsTable._from_fractions(
-        tuple(Fraction(_pair(row, col), dl**p * dr**q) for q, col in enumerate(cols))
+    return TwoBandsTable(
+        [Fraction(_pair(row, col), dl**p * dr**q) for q, col in enumerate(cols)]
         for p, row in enumerate(rows)
     )
 

@@ -62,8 +62,8 @@ class TwoBandsTable(Series2):
 
     __slots__ = ()
 
-    def _validate(self):
-        super()._validate()
+    def __init__(self, values):
+        super().__init__(values)
         _require_corner(self, 1)
 
     def a_moments(self) -> tuple[Fraction, ...]:
@@ -82,8 +82,8 @@ class PartialRTable(Series2):
 
     __slots__ = ()
 
-    def _validate(self):
-        super()._validate()
+    def __init__(self, values):
+        super().__init__(values)
         _require_corner(self, 0)
 
     def a_cumulants(self) -> tuple[Fraction, ...]:
@@ -109,17 +109,15 @@ def compute_partial_r(table: TwoBandsTable) -> PartialRTable:
     S(z, 0) = 1 + z ra and S(0, w) = 1 + w rb exactly, so R is
     S(z, 0) + S(0, w) - 1 - S(z, 0) S(0, w) / S on S's own integer grid.
     """
-    ka = _lagrange(Series1._from_fractions(table.a_moments()).reciprocal()).shift_up()
-    kb = _lagrange(Series1._from_fractions(table.b_moments()).reciprocal()).shift_up()
+    ka = _lagrange(Series1(table.a_moments()).reciprocal()).shift_up()
+    kb = _lagrange(Series1(table.b_moments()).reciprocal()).shift_up()
     s, ds = _substitute(*_scaled(table.values), ka, kb)
     col, row = [x[0] for x in s], s[0]
     q, dq = _quotient(col, row, s, ds)
     linear = [[x] + [0] * (len(row) - 1) for x in col]
     linear[0] = [col[0] + row[0] - ds] + row[1:]
-    return PartialRTable._from_fractions(
-        tuple(Fraction(u * dq - v * ds, ds * dq) for u, v in zip(lr, qr))
-        for lr, qr in zip(linear, q)
-    )
+    return PartialRTable([[Fraction(u * dq - v * ds, ds * dq) for u, v in zip(lr, qr)]
+                          for lr, qr in zip(linear, q)])
 
 
 def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
@@ -137,10 +135,9 @@ def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
     a[0] = b[0] = d  # 1 + R[0][0] = 1
     grid = [[-x if i and j else 0 for j, x in enumerate(row)] for i, row in enumerate(rho)]
     grid[0][0] = d
-    ga = _lagrange(Series1._from_fractions(r.a_cumulants()) + 1).shift_up()
-    gb = _lagrange(Series1._from_fractions(r.b_cumulants()) + 1).shift_up()
-    h = _substitute(*_quotient(a, b, grid, d), ga, gb)
-    return TwoBandsTable._from_fractions(_fractions(*h))
+    ga = _lagrange(Series1(r.a_cumulants()) + 1).shift_up()
+    gb = _lagrange(Series1(r.b_cumulants()) + 1).shift_up()
+    return TwoBandsTable(_fractions(*_substitute(*_quotient(a, b, grid, d), ga, gb)))
 
 
 def biconvolve(t1: TwoBandsTable, t2: TwoBandsTable) -> TwoBandsTable:

@@ -12,9 +12,7 @@ classes, run on Python ints: each operand grid is scaled to integers over
 the LCM of its denominators, and one Fraction is built per output
 coefficient.  The reciprocal and substitution kernels take and return a
 reduced integer grid over one denominator, so they chain without Fractions.
-A one-variable series enters these kernels as a one-column grid.  Results
-built from Fractions enter the classes through the private
-``_from_fractions``, which skips the coercion of the public constructors.
+A one-variable series enters these kernels as a one-column grid.
 
 Values are immutable and hashable and may be shared freely between threads.
 """
@@ -85,13 +83,6 @@ class Series1:
             raise ValueError("a series needs at least its constant term")
 
     @classmethod
-    def _from_fractions(cls, coeffs):
-        """The series of coefficients that are already Fractions, not coerced again."""
-        self = object.__new__(cls)
-        self.coeffs = tuple(coeffs)
-        return self
-
-    @classmethod
     def var(cls, order):
         """The identity series t, truncated at ``order`` (order >= 1)."""
         check_orders(order)
@@ -125,19 +116,19 @@ class Series1:
         check_orders(order)
         if order > self.order:
             raise ValueError(f"cannot extend a series of order {self.order} to {order}")
-        return Series1._from_fractions(self.coeffs[: order + 1])
+        return Series1(self.coeffs[: order + 1])
 
     def __add__(self, other):
         if isinstance(other, Series1):
             n = min(self.order, other.order)
-            return Series1._from_fractions(self.coeffs[k] + other.coeffs[k] for k in range(n + 1))
+            return Series1(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
         c = as_fraction(other)
-        return Series1._from_fractions((self.coeffs[0] + c,) + self.coeffs[1:])
+        return Series1((self.coeffs[0] + c,) + self.coeffs[1:])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series1._from_fractions(-c for c in self.coeffs)
+        return Series1(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Series1) else -as_fraction(other))
@@ -152,19 +143,19 @@ class Series1:
         # against a 5% bound.
         if not isinstance(other, Series1):
             c = as_fraction(other)
-            return Series1._from_fractions(c * v for v in self.coeffs)
+            return Series1(tuple(c * v for v in self.coeffs))
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         out = []
         for k in range(n + 1):
             out.append(sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)))
-        return Series1._from_fractions(out)
+        return Series1(out)
 
     __rmul__ = __mul__
 
     def shift_up(self) -> "Series1":
         """Multiply by t (the order grows by one: no information is lost)."""
-        return Series1._from_fractions((Fraction(0),) + self.coeffs)
+        return Series1((Fraction(0),) + self.coeffs)
 
     def shift_down(self) -> "Series1":
         """Divide by t; the constant term must vanish."""
@@ -172,17 +163,17 @@ class Series1:
             raise ValueError("cannot divide by t: nonzero constant term")
         if self.order < 1:
             raise ValueError("cannot divide the zero-order series by t")
-        return Series1._from_fractions(self.coeffs[1:])
+        return Series1(self.coeffs[1:])
 
     def reciprocal(self) -> "Series1":
         """Series g with self * g = 1 up to the order of self."""
         column, d = _reciprocal(*_scaled([c] for c in self.coeffs))
-        return Series1._from_fractions(Fraction(x, d) for (x,) in column)
+        return Series1([Fraction(x, d) for (x,) in column])
 
     def compose(self, g: "Series1") -> "Series1":
         """self(g(t)) to order min(self.order, g.order); g must vanish at 0."""
         column, d = _substitute(*_scaled([c] for c in self.coeffs), g, Series1([0]))
-        return Series1._from_fractions(Fraction(x, d) for (x,) in column)
+        return Series1([Fraction(x, d) for (x,) in column])
 
     def revert(self) -> "Series1":
         """Compositional inverse: g with self(g(t)) = t up to the order.
@@ -206,7 +197,7 @@ def _lagrange(phi: Series1) -> Series1:
     for k in range(1, phi.order + 1):
         power = power * phi
         out.append(power.coeffs[k] / (k + 1))
-    return Series1._from_fractions(out)
+    return Series1(out)
 
 
 class Series2:
@@ -222,21 +213,6 @@ class Series2:
 
     def __init__(self, values):
         self.values = tuple(tuple(as_fraction(v) for v in row) for row in values)
-        self._validate()
-
-    @classmethod
-    def _from_fractions(cls, rows):
-        """The value of rows that already hold only Fractions, not coerced again.
-
-        It passes the same checks as the public constructor.
-        """
-        self = object.__new__(cls)
-        self.values = tuple(map(tuple, rows))
-        self._validate()
-        return self
-
-    def _validate(self):
-        """Check the shape; a typed grid also checks its own invariants."""
         if not self.values or not self.values[0]:
             raise ValueError("a two-variable series needs at least its constant term")
         width = len(self.values[0])
@@ -281,9 +257,7 @@ class Series2:
         check_orders(left_order, right_order)
         if left_order > self.left_order or right_order > self.right_order:
             raise BoxMismatch(f"cannot extend box {self.box} to {(left_order, right_order)}")
-        return type(self)._from_fractions(
-            row[: right_order + 1] for row in self.values[: left_order + 1]
-        )
+        return type(self)(tuple(row[: right_order + 1] for row in self.values[: left_order + 1]))
 
     def _min_box(self, other):
         return (min(self.left_order, other.left_order), min(self.right_order, other.right_order))
@@ -293,18 +267,18 @@ class Series2:
             m, n = self._min_box(other)
             a, b = self.values, other.values
             kind = type(self) if type(other) is type(self) else Series2
-            return kind._from_fractions(
-                tuple(a[i][j] + b[i][j] for j in range(n + 1)) for i in range(m + 1)
+            return kind(
+                tuple(tuple(a[i][j] + b[i][j] for j in range(n + 1)) for i in range(m + 1))
             )
         c = as_fraction(other)
         rows = [list(r) for r in self.values]
         rows[0][0] += c
-        return Series2._from_fractions(rows)
+        return Series2(rows)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series2._from_fractions(tuple(-v for v in row) for row in self.values)
+        return Series2(tuple(tuple(-v for v in row) for row in self.values))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Series2) else -as_fraction(other))
@@ -315,17 +289,17 @@ class Series2:
     def __mul__(self, other):
         if not isinstance(other, Series2):
             c = as_fraction(other)
-            return Series2._from_fractions(tuple(c * v for v in row) for row in self.values)
+            return Series2(tuple(tuple(c * v for v in row) for row in self.values))
         m, n = self._min_box(other)
         a, da = _scaled(row[: n + 1] for row in self.values[: m + 1])
         b, db = _scaled(row[: n + 1] for row in other.values[: m + 1])
-        return Series2._from_fractions(_fractions(_convolve(a, b, m, n), da * db))
+        return Series2(_fractions(_convolve(a, b, m, n), da * db))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Series2":
         """Series g with self * g = 1 on the box of self."""
-        return Series2._from_fractions(_fractions(*_reciprocal(*_scaled(self.values))))
+        return Series2(_fractions(*_reciprocal(*_scaled(self.values))))
 
     def substitute(self, f: Series1, g: Series1) -> "Series2":
         """self(f(z), g(w)) for inner series vanishing at 0.
@@ -334,7 +308,7 @@ class Series2:
         inner orders: beyond that the substituted coefficients would depend
         on unknown data.
         """
-        return Series2._from_fractions(_fractions(*_substitute(*_scaled(self.values), f, g)))
+        return Series2(_fractions(*_substitute(*_scaled(self.values), f, g)))
 
 
 def _reciprocal(a, d):

@@ -48,7 +48,7 @@ def _marginal(moments) -> tuple[Series1, Series1]:
 
     k = z*u with u = (1/h)(z*u), one Lagrange step, and p = 1/u.
     """
-    u = _lagrange(Series1._from_fractions(moments).reciprocal())
+    u = _lagrange(Series1(moments).reciprocal())
     return u.shift_up(), u.reciprocal()
 
 

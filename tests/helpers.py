@@ -493,34 +493,6 @@ def joint_moment(product, word) -> F:
     return product.expectation(vec)
 
 
-def fraction_sum_two_bands_table(product, box) -> TwoBandsTable:
-    """The model table by Fraction bands through the product's two actions:
-    entry (p, q) pairs the row Omega^T A^p, the band of the transposed left
-    operators under apply_left, with the column B^q Omega under apply_right."""
-    m, n = box
-
-    def band(apply, ops, length):
-        vec = product.vacuum()
-        out = [vec]
-        for _ in range(length):
-            total: dict = {}
-            for k, mat in enumerate(ops):
-                for w, v in apply(k, mat, vec).items():
-                    total[w] = total.get(w, 0) + v
-            vec = {w: v for w, v in total.items() if v}
-            out.append(vec)
-        return out
-
-    left_t = [tuple(zip(*f.operator(LEFT, 0))) for f in product.factors]
-    right = [f.operator(RIGHT, 0) for f in product.factors]
-    rows = band(product.apply_left, left_t, m)
-    cols = band(product.apply_right, right, n)
-    return TwoBandsTable(
-        [[sum((c * col[w] for w, c in row.items() if w in col), F(0)) for col in cols]
-         for row in rows]
-    )
-
-
 def nested_sum_two_bands_table(product, box):
     """phi((sum_k a_k)^m (sum_k b_k)^n) by applying the summed left operator
     to every power of the summed right one applied to the vacuum."""

@@ -29,7 +29,6 @@ from helpers import (
     apply_sum,
     basis,
     commutator,
-    fraction_sum_two_bands_table,
     identity_matrix,
     joint_moment,
     left_action,
@@ -435,8 +434,8 @@ def word_count(dims, length):
 
 
 def test_int_tables_match_fraction_route():
-    # the int bands against the Fraction bands they replaced and against the
-    # nested loop, with operator denominators that differ between the
+    # the int bands against the nested Fraction loop through the product's
+    # two actions, with operator denominators that differ between the
     # factors and between the faces
     rng = random.Random(30)
 
@@ -459,9 +458,8 @@ def test_int_tables_match_fraction_route():
         reps = [rational_rep(d) for d in dims]
         p = ProductState(reps, m + n + rng.randint(0, 1))
         got = sum_two_bands_table(p, (m, n))
-        assert got == fraction_sum_two_bands_table(p, (m, n))
         assert got == nested_sum_two_bands_table(p, (m, n))
-        assert two_bands_table(reps[0], (m, n)) == fraction_sum_two_bands_table(
+        assert two_bands_table(reps[0], (m, n)) == nested_sum_two_bands_table(
             ProductState(reps[:1], m + n), (m, n)
         )
         dl = [_integral({0: r.operator(LEFT, 0)})[1] for r in reps]
