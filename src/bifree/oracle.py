@@ -106,14 +106,37 @@ def _matvec(mat, vec) -> tuple:
     return tuple(_inner(row, vec) for row in mat)
 
 
-class TwoFacedPairRep:
+class _ReadOnly:
+    """Base of the value classes whose attributes are fixed by ``__init__``.
+
+    Assigning or deleting an attribute raises ``AttributeError``; the
+    constructor sets its slots through ``_set``.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+    def __copy__(self):
+        return self
+
+
+class TwoFacedPairRep(_ReadOnly):
     """Left and right operator families on Q^dim with state vector e0.
 
     Coordinates 1 .. dim-1 span the complement of the state vector.
     ``reliable`` lists the basis indices on which commutation identities of
     a truncation-built model can be trusted (None means all of them); it is
     consulted by :func:`bifree.rank1.extract_system`, never by moment
-    evaluation.
+    evaluation.  Its attributes cannot be reassigned after construction.
     """
 
     __slots__ = ("dim", "left_ops", "right_ops", "reliable")
@@ -121,16 +144,13 @@ class TwoFacedPairRep:
     def __init__(self, dim: int, left_ops, right_ops, reliable=None):
         if type(dim) is not int or dim < 1:
             raise ValueError(f"a pair representation needs an int dimension >= 1, got {dim!r}")
-        self.dim = dim
-        self.left_ops = MappingProxyType({k: self._check(m) for k, m in dict(left_ops).items()})
-        self.right_ops = MappingProxyType({k: self._check(m) for k, m in dict(right_ops).items()})
-        if reliable is None:
-            self.reliable = tuple(range(dim))
-        else:
-            reliable = tuple(reliable)
-            if any(type(c) is not int or not 0 <= c < dim for c in reliable):
-                raise ValueError(f"reliable indices must be ints in range({dim}), got {reliable}")
-            self.reliable = tuple(sorted(set(reliable)))
+        self._set(dim=dim)
+        left_ops = MappingProxyType({k: self._check(m) for k, m in dict(left_ops).items()})
+        right_ops = MappingProxyType({k: self._check(m) for k, m in dict(right_ops).items()})
+        reliable = tuple(range(dim) if reliable is None else reliable)
+        if any(type(c) is not int or not 0 <= c < dim for c in reliable):
+            raise ValueError(f"reliable indices must be ints in range({dim}), got {reliable}")
+        self._set(left_ops=left_ops, right_ops=right_ops, reliable=tuple(sorted(set(reliable))))
 
     def _check(self, mat) -> tuple:
         mat = _rational_matrix(mat)

@@ -10,18 +10,22 @@ those by the right-multiplication recursion implemented here.
 Words over the variables are tuples of letters ``(side, label)`` with side
 LEFT or RIGHT.  Elements of the reduction space are sparse dicts mapping
 canonical IJ-words ``(left_labels, right_labels)`` to coefficients, with
-like terms always combined.  Systems are immutable once built; moment
-evaluations are pure and parallelizable.
+like terms always combined.  The coefficients are ints over a power of
+one scale D per system, the LCM of the denominators of lam and of the
+stored moments, so the reduction builds a single ``Fraction``, the
+moment.  Systems are immutable once built; moment evaluations are pure and
+parallelizable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import mul
 from types import MappingProxyType
 
-from .oracle import LEFT, RIGHT, TwoFacedPairRep, _bump, _integral
+from .oracle import LEFT, RIGHT, TwoFacedPairRep, _bump, _integral, _ReadOnly
 from .partial_r import TwoBandsTable, biconvolve
 from .series import as_fraction, check_orders
 
@@ -54,47 +58,59 @@ def _check_cap(cap) -> int:
     return cap
 
 
-class Rank1System:
+class Rank1System(_ReadOnly):
     """Coefficients matrix plus two-bands-starting-left moment table.
 
     ``two_bands`` maps ``(left_labels, right_labels)`` tuples of total length
     at most ``cap`` to exact rationals; the empty word carries phi(1) = 1.
     Lookups beyond the stored range raise, they never default: the recursion
     consumes moments as long as the word it reduces, so silent extrapolation
-    would fabricate answers.
+    would fabricate answers.  Attributes cannot be reassigned after
+    construction: the recursion's scale is derived from ``lam`` and
+    ``two_bands`` once, here.
     """
 
-    __slots__ = ("left_indices", "right_indices", "lam", "two_bands", "cap")
+    __slots__ = ("left_indices", "right_indices", "lam", "two_bands", "cap", "_scale")
 
     def __init__(self, left_indices, right_indices, lam, two_bands, cap):
-        self.left_indices = tuple(left_indices)
-        self.right_indices = tuple(right_indices)
-        if len(set(self.left_indices)) != len(self.left_indices) or len(
-            set(self.right_indices)
-        ) != len(self.right_indices):
+        left_indices = tuple(left_indices)
+        right_indices = tuple(right_indices)
+        if len(set(left_indices)) != len(left_indices) or len(set(right_indices)) != len(
+            right_indices
+        ):
             raise ValueError("index labels must be distinct")
-        self.cap = _check_cap(cap)
+        cap = _check_cap(cap)
+        # the LCM of every lam and stored phi denominator
+        scale = 1
         coefficients = {}
         for (i, j), v in dict(lam).items():
-            if i not in self.left_indices or j not in self.right_indices:
+            if i not in left_indices or j not in right_indices:
                 raise ValueError(f"lambda entry for unknown index pair ({i!r}, {j!r})")
             v = as_fraction(v)
             if v:
                 coefficients[(i, j)] = v
-        self.lam = MappingProxyType(coefficients)
+                scale = lcm(scale, v.denominator)
         moments = {}
         for (il, jl), v in dict(two_bands).items():
             il, jl = tuple(il), tuple(jl)
-            if len(il) + len(jl) > self.cap:
-                raise ValueError(f"stored word {il + jl} exceeds cap {self.cap}")
-            if any(i not in self.left_indices for i in il) or any(
-                j not in self.right_indices for j in jl
+            if len(il) + len(jl) > cap:
+                raise ValueError(f"stored word {il + jl} exceeds cap {cap}")
+            if any(i not in left_indices for i in il) or any(
+                j not in right_indices for j in jl
             ):
                 raise ValueError(f"word {il + jl} uses undeclared indices")
-            moments[(il, jl)] = as_fraction(v)
+            v = moments[(il, jl)] = as_fraction(v)
+            scale = lcm(scale, v.denominator)
         if moments.get(((), ())) != 1:
             raise ValueError("two_bands must contain the empty word with value 1")
-        self.two_bands = MappingProxyType(moments)
+        self._set(
+            left_indices=left_indices,
+            right_indices=right_indices,
+            lam=MappingProxyType(coefficients),
+            two_bands=MappingProxyType(moments),
+            cap=cap,
+            _scale=scale,
+        )
 
     def coefficient(self, i, j) -> Fraction:
         return self.lam.get((i, j), Fraction(0))
@@ -135,20 +151,28 @@ def _apply_T(system: Rank1System, v: dict, letter) -> dict:
     end of the left block, and each right letter it crosses contributes a
     correction -phi(prefix) * lam * (shorter word) from the commutation
     relation.
+
+    Coefficients are ints over a power of the system's scale D: a left
+    letter multiplies every carried term by D^2, and a correction is
+    -c (phi D) (lam D), so after L left letters a coefficient c stands
+    for c / D^(2L).
     """
     side, k = letter
+    if side == RIGHT:
+        return {(il, jl + (k,)): c for (il, jl), c in v.items()}
+    d = system._scale
+    dd = d * d
+    lam = system.lam
     out: dict = {}
-    for (il, jl), coeff in v.items():
-        if side == RIGHT:
-            _bump(out, (il, jl + (k,)), coeff)
-            continue
-        _bump(out, (il + (k,), jl), coeff)
+    for (il, jl), c in v.items():
+        out[(il + (k,), jl)] = c * dd
         for t, j in enumerate(jl):
-            lam = system.coefficient(k, j)
-            if lam:
+            x = lam.get((k, j))
+            if x:
                 phi = system.phi(il, jl[:t])
                 if phi:
-                    _bump(out, ((), jl[t + 1 :]), -coeff * phi * lam)
+                    phi_d = phi.numerator * (d // phi.denominator)
+                    _bump(out, ((), jl[t + 1 :]), -c * phi_d * x.numerator * (d // x.denominator))
     return {w: c for w, c in out.items() if c}
 
 
@@ -157,22 +181,31 @@ def mixed_moment(system: Rank1System, word) -> Fraction:
 
     Applies the right-multiplication operators letter by letter starting
     from the state projector, then evaluates every canonical IJ-word against
-    the stored two-bands moments.
+    the stored two-bands moments.  A letter is a ``(side, label)`` tuple
+    whose label is one the system declares for that side, of the same type.
     """
-    # Stays on Fraction: a prototype on ints, with lam and phi scaled by one
-    # D, made the perfbench oracle workload 2.6-2.7x faster instead of 1.8x,
-    # but perfbench keeps one latency per op run, and the extra runs raised
-    # its peak RSS by 3.4-3.9%, too close to the 5% bound.
-    v = {((), ()): Fraction(1)}
+    # Every coefficient is an int over D^(2L) after L left letters (see
+    # _apply_T), and phi D is an int, so the moment is one Fraction over
+    # D^(2L+1).
+    lefts = 0
+    v = {((), ()): 1}
     for letter in word:
+        if not isinstance(letter, tuple) or len(letter) != 2:
+            raise ValueError(f"letter {letter!r} is not a (side, label) pair")
         side, k = letter
         if side not in (LEFT, RIGHT):
             raise ValueError(f"letter {letter!r} has side {side!r}, not LEFT or RIGHT")
         labels = system.left_indices if side == LEFT else system.right_indices
-        if k not in labels:
+        if k not in labels or type(k) is not type(labels[labels.index(k)]):
             raise ValueError(f"letter {letter!r} uses an undeclared index")
+        lefts += side == LEFT
         v = _apply_T(system, v, letter)
-    return sum((c * system.phi(il, jl) for (il, jl), c in v.items()), Fraction(0))
+    d = system._scale
+    total = 0
+    for (il, jl), c in v.items():
+        phi = system.phi(il, jl)
+        total += c * phi.numerator * (d // phi.denominator)
+    return Fraction(total, d ** (2 * lefts + 1))
 
 
 def biconvolve_rank1(s1: Rank1System, s2: Rank1System) -> Rank1System:

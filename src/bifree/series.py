@@ -137,10 +137,13 @@ class Series1:
         return (-self) + other
 
     def __mul__(self, other):
-        # Stays on Fraction, as does _lagrange: on _convolve it made the
-        # perfbench tower workload 2.4-2.9x faster, but perfbench keeps one
-        # latency per op run, so that speed raised its peak RSS by 3.3-4.7%,
-        # against a 5% bound.
+        # Stays on Fraction, as does _lagrange.  A prototype with this product
+        # on _convolve and _lagrange on integer powers passed every test and
+        # ran the perfbench tower workload (seed 1) 4.5x faster, 809 -> 3622
+        # ops/s, but its peak_rss_mb rose 13%, 19.88 -> 22.46 MB, against a
+        # 5% bound: perfbench keeps one latency per op run, and the op runs
+        # went 16871 -> 88085.  It waits for a harness whose memory does not
+        # grow with op runs (ROADMAP item 1).
         if not isinstance(other, Series1):
             c = as_fraction(other)
             return Series1(tuple(c * v for v in self.coeffs))

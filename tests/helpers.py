@@ -16,6 +16,7 @@ from bifree.oracle import (
     RIGHT,
     TruncationUnsound,
     _basis_vector,
+    _bump,
     _inner,
     _matvec,
     _rational_matrix,
@@ -139,6 +140,28 @@ def fraction_extract_system(rep, cap: int) -> Rank1System:
                 for jw in iproduct(right_labels, repeat=q):
                     two_bands[(iw, jw)] = _inner(rows[iw[::-1]], cols[jw])
     return Rank1System(left_labels, right_labels, lam, two_bands, cap)
+
+
+def fraction_mixed_moment(system, word) -> F:
+    """mixed_moment in Fractions: the same right-multiplication recursion,
+    with the system's lam and stored moments as they are, unscaled.  Letters
+    are not validated."""
+    v = {((), ()): F(1)}
+    for side, k in word:
+        out: dict = {}
+        for (il, jl), coeff in v.items():
+            if side == RIGHT:
+                _bump(out, (il, jl + (k,)), coeff)
+                continue
+            _bump(out, (il + (k,), jl), coeff)
+            for t, j in enumerate(jl):
+                lam = system.coefficient(k, j)
+                if lam:
+                    phi = system.phi(il, jl[:t])
+                    if phi:
+                        _bump(out, ((), jl[t + 1 :]), -coeff * phi * lam)
+        v = {w: c for w, c in out.items() if c}
+    return sum((c * system.phi(il, jl) for (il, jl), c in v.items()), F(0))
 
 
 def save_path(path, obj):

@@ -1,5 +1,6 @@
 """Operator-model oracle: product actions, model builders, bi-freeness."""
 
+import copy
 import os
 import random
 import subprocess
@@ -284,9 +285,19 @@ def test_operators_are_immutable():
         rep.left_ops[0] = ((9, 9), (9, 9))
     with pytest.raises(TypeError):
         rep.right_ops[1] = ((9, 9), (9, 9))
+    # the attributes cannot be rebound or deleted either
+    for name, value in (("left_ops", {}), ("right_ops", {}), ("dim", 3), ("reliable", ())):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, value)
+        with pytest.raises(AttributeError):
+            delattr(rep, name)
+    with pytest.raises(AttributeError):
+        rep.extra = 1
+    assert copy.copy(rep) is rep
     assert rep.left_ops[0] == ((1, 2), (3, 4))
     assert rep.moment([(LEFT, 0)]) == 1
     assert set(rep.right_ops) == {0}
+    assert (rep.dim, rep.reliable) == (2, (0, 1))
 
 
 def test_import_loads_only_the_standard_library():

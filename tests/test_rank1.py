@@ -1,5 +1,6 @@
 """Rank <= 1 commutation systems: recursion, convolution, extraction."""
 
+import copy
 import random
 from fractions import Fraction as F
 from itertools import product as iproduct
@@ -32,6 +33,7 @@ from helpers import (
     basis,
     dense_lam,
     fraction_extract_system,
+    fraction_mixed_moment,
     left_action,
     rank1_from_table,
     right_action,
@@ -64,14 +66,19 @@ def demo_system():
 
 
 def test_apply_T_examples():
-    s = demo_system()
-    empty = {((), ()): F(1)}
-    assert _apply_T(s, empty, a()) == {((0,), ()): F(1)}
-    assert _apply_T(s, {((0,), ()): F(1)}, b()) == {((0,), (0,)): F(1)}
+    s = demo_system()  # integer data, so the scale D is 1
+    empty = {((), ()): 1}
+    assert _apply_T(s, empty, a()) == {((0,), ()): 1}
+    assert _apply_T(s, {((0,), ()): 1}, b()) == {((0,), (0,)): 1}
     # a left letter crosses one right letter: correction -phi(a) * lam
-    out = _apply_T(s, {((0,), (0,)): F(1)}, a())
+    out = _apply_T(s, {((0,), (0,)): 1}, a())
     phi_a = s.phi((0,), ())
-    assert out == {((0, 0), (0,)): F(1), ((), ()): -phi_a * F(2)}
+    assert out == {((0, 0), (0,)): 1, ((), ()): -phi_a * 2}
+    # lam = 1/2 and phi(a) = 1/3 give D = 6: the left letter carries the
+    # term by D^2 and the correction is -(phi D)(lam D) = -2 * 3
+    r = rank1_from_table(TwoBandsTable([[1, 1], [F(1, 3), 1]]), F(1, 2))
+    assert _apply_T(r, {((0,), (0,)): 1}, a()) == {((0, 0), (0,)): 36, ((), ()): -6}
+    assert mixed_moment(r, [b(), a()]) == r.phi((0,), (0,)) - F(1, 2)
 
 
 def test_mixed_moment_examples():
@@ -94,6 +101,30 @@ def test_mixed_moment_rejects_unknown_index():
     for word in ([("X", 0), (LEFT, 0)], [(RIGHT, 0), ("left", 0)]):
         with pytest.raises(ValueError):
             mixed_moment(s, word)
+
+
+def test_mixed_moment_rejects_malformed_letters():
+    # a letter is a (side, label) tuple, and a label that equals a declared
+    # one must also have its type: 0.0 and True are not labels 0 and 1
+    s = Rank1System((0, 1), (0, "x"), {(1, "x"): 2}, {((), ()): 1, ((1,), ("x",)): 3}, 2)
+    bad_words = [
+        [5],
+        [None],
+        [LEFT],
+        [(LEFT,)],
+        [(LEFT, 0, 1)],
+        [[LEFT, 0]],
+        [(LEFT, 0.0)],
+        [(LEFT, True)],
+        [(RIGHT, 0), (LEFT, F(1))],
+        [(RIGHT, False)],
+        [(RIGHT, "y")],
+    ]
+    for word in bad_words:
+        with pytest.raises(ValueError):
+            mixed_moment(s, word)
+    assert mixed_moment(s, [(LEFT, 1), (RIGHT, "x")]) == 3
+    assert mixed_moment(s, [(RIGHT, "x"), (LEFT, 1)]) == 3 - 2
 
 
 def test_cap_is_enforced():
@@ -160,6 +191,67 @@ def _naive_normalize(system, word):
             value *= system.phi(il, jl)
         total += value
     return total
+
+
+def test_int_recursion_matches_fraction_route():
+    # mixed_moment runs on ints over powers of one scale D; the Fraction
+    # recursion must give the same value, or raise the same CapExceeded, on
+    # every word up to one letter past the cap.  The denominators {1, 2, 3, 5}
+    # are split between lam and the stored moments, some of both are zero,
+    # and some systems miss stored moments inside their cap.
+    rng = random.Random(43)
+
+    def outcome(evaluate, system, word):
+        try:
+            value = evaluate(system, word)
+        except CapExceeded as exc:
+            return f"CapExceeded: {exc}"
+        assert type(value) is F
+        return value
+
+    def random_system(left, right, cap, dropped):
+        dens = rng.sample((1, 2, 3, 5), 4)
+        lam_dens, phi_dens = dens[:2], dens[2:]
+        rational = lambda ds: F(rng.choice((0, 0, 1, -1, 2, -3, 4)), rng.choice(ds))
+        lam = {(i, j): rational(lam_dens) for i in left for j in right}
+        two_bands = {((), ()): F(1)}
+        for p in range(cap + 1):
+            for il in iproduct(left, repeat=p):
+                for q in range(cap + 1 - p):
+                    for jl in iproduct(right, repeat=q):
+                        if (il or jl) and rng.random() >= dropped:
+                            two_bands[(il, jl)] = rational(phi_dens)
+        return Rank1System(left, right, lam, two_bands, cap)
+
+    systems = [
+        random_system((0,), (0,), 7, 0),
+        random_system((0,), (0,), 6, 0.1),
+        random_system((0, 1), (0,), 4, 0),
+        random_system((0, 1), (2, 5), 4, 0),
+        random_system((0, 1), (2, 5), 4, 0.05),
+    ]
+    for _ in range(2):
+        omega = [[F(rng.choice((1, -1, 2)), rng.choice((2, 3, 5))) for _ in range(2)]]
+        omega.append([F(rng.choice((1, -2, 3)), rng.choice((1, 2, 3, 5))) for _ in range(2)])
+        systems.append(extract_system(shift_pair_rep(5, omega), cap=6))
+    seen = set()
+    for system in systems:
+        letters = [a(i) for i in system.left_indices] + [b(j) for j in system.right_indices]
+        for length in range(system.cap + 2):
+            for word in iproduct(letters, repeat=length):
+                got = outcome(mixed_moment, system, word)
+                assert got == outcome(fraction_mixed_moment, system, word), word
+                if isinstance(got, str):
+                    seen.add("past the cap" if length > system.cap else "missing moment")
+                else:
+                    seen.add("zero" if got == 0 else "rational" if got.denominator > 1 else "int")
+        if any(v == 0 for v in system.two_bands.values()):
+            seen.add("zero phi")
+        if len(system.lam) < len(system.left_indices) * len(system.right_indices):
+            seen.add("zero lam")
+    assert seen == {
+        "past the cap", "missing moment", "zero", "rational", "int", "zero phi", "zero lam"
+    }
 
 
 def test_recursion_matches_naive_normalization():
@@ -346,9 +438,20 @@ def test_systems_are_immutable():
         system.lam[(0, 0)] = 99
     with pytest.raises(TypeError):
         system.lam[(0, 1)] = 99
+    # attributes cannot be rebound or deleted: the recursion's scale was
+    # derived from lam and two_bands at construction
+    for name, value in (("two_bands", {}), ("lam", {}), ("cap", 9), ("_scale", 1)):
+        with pytest.raises(AttributeError):
+            setattr(system, name, value)
+        with pytest.raises(AttributeError):
+            delattr(system, name)
+    with pytest.raises(AttributeError):
+        system.extra = 1
+    assert copy.copy(system) is system
     assert system.phi((), ()) == 1
     assert system.coefficient(0, 0) == 5
     assert system.lam == {(0, 0): F(5)}
+    assert system.cap == 4
 
 
 def test_phi_of_projector_is_one():
