@@ -19,7 +19,6 @@ from .transforms import (
     BadNormalization,
     free_convolve1,
     moments_to_r,
-    normalize_moments,
     r_to_moments,
     subordination_series,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "NonzeroConstantSubstitution",
     "NegativeOrder",
     "BadNormalization",
-    "normalize_moments",
     "moments_to_r",
     "r_to_moments",
     "free_convolve1",

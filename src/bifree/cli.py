@@ -6,18 +6,18 @@ Subcommands::
     bifree convolve A B [-o OUT]                  bi-free additive convolution
     bifree moment SYSTEM --word "a1 b2 a1"        one mixed moment, exact
     bifree selfcheck [--seed N] [--size K]        oracle cross-validation
+                     [--corrupt]
 
 Inputs and outputs are the JSON documents of :mod:`bifree.io`; output is
 deterministic, so identical inputs give byte-identical files.  Exit codes:
 0 success, 1 a selfcheck failed, 2 parse or usage errors, 3 bad
-normalization, 4 box mismatch, 5 two-bands cap exceeded.  The environment variable BIFREE_SEED supplies
-the default selfcheck seed.
+normalization, 4 box mismatch, 5 two-bands cap exceeded.  ``--seed``
+defaults to 0 and ``--size`` to 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .io import ParseError, load_path, parse_word, to_json
@@ -66,10 +66,7 @@ def cmd_moment(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("BIFREE_SEED", "0"))
-    report, ok = run_selfcheck(seed, args.size, corrupt=args.corrupt)
+    report, ok = run_selfcheck(args.seed, args.size, corrupt=args.corrupt)
     sys.stdout.write(report)
     return 0 if ok else 1
 
@@ -99,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_moment)
 
     p = sub.add_parser("selfcheck", help="randomized exact oracle cross-validation")
-    p.add_argument("--seed", type=int, default=None, help="default: $BIFREE_SEED or 0")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random suites (default: 0)")
     p.add_argument("--size", type=int, default=2, help="scale of the random suites")
     p.add_argument(
         "--corrupt",

@@ -3,12 +3,11 @@
 Rationals travel as JSON integers or strings ``"p"`` or ``"p/q"`` (an
 optional minus sign, ASCII decimal digits, q nonzero); floats are rejected
 outright so generic tooling can never corrupt a value.  Documents carry a
-``format_version`` and a ``kind`` from {two_bands_pair, rank1_system,
-moment_seq} for inputs, plus ``partial_r_table`` for emitted cumulant
-tables.  Unknown fields and objects that repeat a key are rejected, and
-serialization is canonical (sorted keys, two-space indent), so parse ->
-serialize -> parse is the identity and equal data always produces
-byte-identical files.
+``format_version`` and a ``kind`` from {two_bands_pair, rank1_system} for
+inputs, plus ``partial_r_table`` for emitted cumulant tables.  Unknown
+fields and objects that repeat a key are rejected, and serialization is
+canonical (sorted keys, two-space indent), so parse -> serialize -> parse
+is the identity and equal data always produces byte-identical files.
 
 Words over the variables are whitespace-separated letters: ``a<label>`` for
 left, ``b<label>`` for right, labels in ASCII digits, e.g. ``"a1 b2 a1"``;
@@ -24,7 +23,6 @@ from fractions import Fraction
 from .oracle import LEFT, RIGHT
 from .partial_r import PartialRTable, TwoBandsTable
 from .rank1 import Rank1System
-from .transforms import normalize_moments
 
 __all__ = ["ParseError", "parse_word", "to_json", "load_path"]
 
@@ -54,16 +52,6 @@ def rational_from_json(v) -> Fraction:
         raise ParseError(f"bad rational literal {v!r}") from exc
 
 
-def word_to_str(word) -> str:
-    """Render a word of (side, label) letters; labels must be integers."""
-    parts = []
-    for side, label in word:
-        if side not in (LEFT, RIGHT):
-            raise ValueError(f"letter side must be LEFT or RIGHT, got {side!r}")
-        parts.append(("a" if side == LEFT else "b") + str(label))
-    return " ".join(parts)
-
-
 def parse_word(text: str):
     """Parse ``"a1 b2 a1"`` into a tuple of (side, label) letters."""
     letters = []
@@ -81,7 +69,7 @@ def parse_word(text: str):
 
 def _ij_word(il, jl) -> str:
     """The canonical IJ-word: left labels ``il``, then right labels ``jl``."""
-    return word_to_str(tuple((LEFT, i) for i in il) + tuple((RIGHT, j) for j in jl))
+    return " ".join([f"a{i}" for i in il] + [f"b{j}" for j in jl])
 
 
 _TABLE_KINDS = {"two_bands_pair": TwoBandsTable, "partial_r_table": PartialRTable}
@@ -111,13 +99,6 @@ def _document(obj) -> dict:
             "lambda": lam,
             "cap": obj.cap,
             "two_bands": two_bands,
-        }
-    if isinstance(obj, (tuple, list)):
-        moments = normalize_moments(obj)
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "moment_seq",
-            "moments": [rational_to_json(v) for v in moments],
         }
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -165,8 +146,8 @@ def _unique_keys(pairs) -> dict:
 def from_json(text: str):
     """Parse a document into its domain object.
 
-    Returns a TwoBandsTable, PartialRTable, Rank1System, or a tuple of
-    moments according to the document kind.
+    Returns a TwoBandsTable, PartialRTable or Rank1System according to the
+    document kind.
     """
     # ValueError covers JSONDecodeError, a repeated key and an integer
     # literal over the interpreter's digit limit; RecursionError, deep nesting
@@ -183,12 +164,6 @@ def from_json(text: str):
     if isinstance(kind, str) and kind in _TABLE_KINDS:
         _require_keys(doc, {"format_version", "kind", "values"})
         return _TABLE_KINDS[kind](_values_grid(doc))
-    if kind == "moment_seq":
-        _require_keys(doc, {"format_version", "kind", "moments"})
-        moments = doc["moments"]
-        if not isinstance(moments, list) or not moments:
-            raise ParseError("'moments' must be a nonempty list")
-        return normalize_moments(rational_from_json(v) for v in moments)
     if kind == "rank1_system":
         _require_keys(
             doc,
@@ -216,9 +191,6 @@ def from_json(text: str):
             for p, i in enumerate(left)
             for q, j in enumerate(right)
         }
-        cap = doc["cap"]
-        if not isinstance(cap, int) or isinstance(cap, bool):
-            raise ParseError("'cap' must be an integer")
         raw = doc["two_bands"]
         if not isinstance(raw, dict):
             raise ParseError("'two_bands' must be an object keyed by words")
@@ -233,7 +205,7 @@ def from_json(text: str):
                 raise ParseError(f"two_bands key {key!r} repeats an earlier word")
             two_bands[(il, jl)] = rational_from_json(value)
         try:
-            return Rank1System(left, right, lam, two_bands, cap)
+            return Rank1System(left, right, lam, two_bands, doc["cap"])
         except ValueError as exc:
             raise ParseError(f"invalid rank1 system: {exc}") from exc
     raise ParseError(f"unknown kind {kind!r}")

@@ -73,8 +73,9 @@ def _rational_matrix(rows) -> tuple:
     return mat
 
 
-def _basis_vector(dim: int, i: int = 0) -> tuple:
-    return tuple(Fraction(int(r == i)) for r in range(dim))
+def _basis_vector(dim: int) -> tuple:
+    """The state vector e0 of Q^dim."""
+    return (Fraction(1),) + (Fraction(0),) * (dim - 1)
 
 
 def _integral(mats) -> tuple:
@@ -177,18 +178,21 @@ class TwoFacedPairRep(_ReadOnly):
         return vec[0]
 
 
-class ProductState:
-    """Truncated free product of the factors' pointed spaces."""
+class ProductState(_ReadOnly):
+    """Truncated free product of the factors' pointed spaces; read-only."""
 
     __slots__ = ("factors", "max_word_len")
 
     def __init__(self, factors, max_word_len: int):
-        self.factors = tuple(factors)
-        if not self.factors:
+        factors = tuple(factors)
+        if not factors:
             raise ValueError("need at least one factor")
+        for f in factors:
+            if not isinstance(f, TwoFacedPairRep):
+                raise TypeError(f"factors must be TwoFacedPairReps, got {type(f).__name__}")
         if type(max_word_len) is not int or max_word_len < 0:
             raise ValueError(f"max_word_len must be a nonnegative int, got {max_word_len!r}")
-        self.max_word_len = max_word_len
+        self._set(factors=factors, max_word_len=max_word_len)
 
     def _factor(self, k) -> TwoFacedPairRep:
         if type(k) is not int or not 0 <= k < len(self.factors):

@@ -29,8 +29,8 @@ from .transforms import subordination_series
 __all__ = ["run_selfcheck"]
 
 
-def _rand_matrix(rng, dim, lo=-2, hi=2):
-    return [[Fraction(rng.randint(lo, hi)) for _ in range(dim)] for _ in range(dim)]
+def _rand_matrix(rng, dim):
+    return [[Fraction(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
 
 
 def _rand_rep(rng, dim):
@@ -134,8 +134,8 @@ def _quotient(table, t_series, s_series):
     return Series2.product(ha, hb) * h2.reciprocal()
 
 
-def _rand_table(rng, box, lo=-2, hi=2):
-    values = [[Fraction(rng.randint(lo, hi)) for _ in range(box + 1)] for _ in range(box + 1)]
+def _rand_table(rng, box):
+    values = [[Fraction(rng.randint(-2, 2)) for _ in range(box + 1)] for _ in range(box + 1)]
     values[0][0] = Fraction(1)
     return TwoBandsTable(values)
 

@@ -23,7 +23,6 @@ from .series import Series1, _lagrange, as_fraction, check_orders
 
 __all__ = [
     "BadNormalization",
-    "normalize_moments",
     "moments_to_r",
     "r_to_moments",
     "free_convolve1",
@@ -35,7 +34,7 @@ class BadNormalization(ValueError):
     """Moment data must start with phi(1) = 1."""
 
 
-def normalize_moments(moments) -> tuple[Fraction, ...]:
+def _normalize_moments(moments) -> tuple[Fraction, ...]:
     """Coerce a moment sequence to exact rationals, checking phi(1) = 1."""
     m = tuple(as_fraction(x) for x in moments)
     if not m or m[0] != 1:
@@ -58,7 +57,7 @@ def moments_to_r(moments) -> Series1:
     The coefficient of ``z^n`` in the result is the (n+1)-st free cumulant,
     so moments ``(1, m1, ..., mN)`` give a series of order N-1.
     """
-    m = normalize_moments(moments)
+    m = _normalize_moments(moments)
     if len(m) < 2:
         raise ValueError("need at least the first moment beyond phi(1)")
     return (_marginal(m)[1] - 1).shift_down()
@@ -68,8 +67,8 @@ def r_to_moments(r: Series1, order: int) -> tuple[Fraction, ...]:
     """Moment sequence of a free cumulant series, up to ``order``.
 
     Exact inverse of :func:`moments_to_r`: the cumulant series must carry
-    at least ``order - 1`` coefficients.  The moment series h solves
-    h = p(t*h) for p = 1 + t*r(t).
+    ``order`` coefficients, that is be of order at least ``order - 1``.
+    The moment series h solves h = p(t*h) for p = 1 + t*r(t).
     """
     check_orders(order)
     if order == 0:
@@ -79,8 +78,8 @@ def r_to_moments(r: Series1, order: int) -> tuple[Fraction, ...]:
 
 def free_convolve1(m1, m2) -> tuple[Fraction, ...]:
     """Moments of the free additive convolution, to the shorter input order."""
-    a = normalize_moments(m1)
-    b = normalize_moments(m2)
+    a = _normalize_moments(m1)
+    b = _normalize_moments(m2)
     n = min(len(a), len(b)) - 1
     return _lagrange(_marginal(a[: n + 1])[1] + _marginal(b[: n + 1])[1] - 1).coeffs
 
@@ -96,8 +95,8 @@ def subordination_series(m1, m2, order: int) -> tuple[Series1, Series1]:
     inverses of ``t*h1(t)`` and ``t*h2(t)``.
     """
     check_orders(order)
-    a = normalize_moments(m1)
-    b = normalize_moments(m2)
+    a = _normalize_moments(m1)
+    b = _normalize_moments(m2)
     if order < 1:
         raise ValueError("order must be at least 1")
     if len(a) <= order or len(b) <= order:

@@ -39,7 +39,7 @@ def random_table(rng, box, lo=-3, hi=3, denominators=(1,)):
 
 
 def identity_matrix(dim: int) -> tuple:
-    return tuple(_basis_vector(dim, i) for i in range(dim))
+    return tuple(tuple(F(int(r == c)) for c in range(dim)) for r in range(dim))
 
 
 def state_projector(dim: int) -> tuple:

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from bifree.cli import main
 from bifree.io import (
     ParseError,
+    _ij_word,
     from_json,
     parse_word,
     rational_from_json,
     rational_to_json,
     to_json,
-    word_to_str,
 )
 from bifree.oracle import LEFT, RIGHT, shift_pair_rep
 from bifree.partial_r import PartialRTable, TwoBandsTable, compute_partial_r
@@ -53,8 +53,10 @@ def test_rational_codec():
 
 def test_word_codec():
     word = ((LEFT, 1), (RIGHT, 2), (LEFT, 1))
-    assert word_to_str(word) == "a1 b2 a1"
     assert parse_word("a1 b2 a1") == word
+    assert _ij_word((1, 3), (2,)) == "a1 a3 b2"
+    assert parse_word(_ij_word((1, 3), (2,))) == ((LEFT, 1), (LEFT, 3), (RIGHT, 2))
+    assert _ij_word((), ()) == ""
     assert parse_word("") == ()
     with pytest.raises(ParseError):
         parse_word("c3")
@@ -62,8 +64,6 @@ def test_word_codec():
         parse_word("a")
     with pytest.raises(ParseError):
         parse_word("a\u0661")  # a non-ASCII digit
-    with pytest.raises(ValueError):
-        word_to_str([("Q", 3)])
     if DIGIT_LIMIT:
         with pytest.raises(ParseError):
             parse_word("a" + "1" * (DIGIT_LIMIT + 1))
@@ -87,11 +87,17 @@ def test_partial_r_roundtrip():
     assert from_json(to_json(r)) == r
 
 
-def test_moment_seq_roundtrip():
-    moments = (F(1), F(-2), F(7, 3))
-    text = to_json(moments)
-    assert from_json(text) == moments
-    assert json.loads(text)["kind"] == "moment_seq"
+def test_moment_seq_kind_rejected(tmp_path, capsys):
+    # no command reads or writes a bare moment sequence
+    text = '{"format_version": "1", "kind": "moment_seq", "moments": [1, 2]}'
+    with pytest.raises(ParseError, match="unknown kind 'moment_seq'"):
+        from_json(text)
+    path = tmp_path / "moments.json"
+    path.write_text(text)
+    assert main(["cumulants", str(path)]) == 2
+    assert "unknown kind" in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        to_json((1, 2))
 
 
 rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
@@ -152,7 +158,7 @@ def test_unknown_fields_rejected():
 
 def test_version_and_kind_checked():
     with pytest.raises(ParseError):
-        from_json('{"format_version": "2", "kind": "moment_seq", "moments": [1]}')
+        from_json('{"format_version": "2", "kind": "two_bands_pair", "values": [[1]]}')
     with pytest.raises(ParseError):
         from_json('{"format_version": "1", "kind": "mystery", "values": [[1]]}')
     with pytest.raises(ParseError):
@@ -166,15 +172,28 @@ def test_version_and_kind_checked():
             from_json(f'{{"format_version": "1", "kind": {kind}, "values": [[1]]}}')
     # a field written twice; json.dumps cannot produce this, so it is raw text
     with pytest.raises(ParseError):
-        from_json('{"format_version": "1", "kind": "moment_seq", "moments": [1], "moments": [1]}')
+        from_json('{"format_version": "1", "kind": "two_bands_pair", "values": [[1]], "values": [[1]]}')
     with pytest.raises(ParseError):
-        from_json('{"format_version": "1", "kind": "moment_seq", "moments": ["1.5"]}')
+        from_json('{"format_version": "1", "kind": "two_bands_pair", "values": [[1, "1.5"]]}')
     if DIGIT_LIMIT:
         big = "7" * (DIGIT_LIMIT + 1)
         with pytest.raises(ParseError):
-            from_json(f'{{"format_version": "1", "kind": "moment_seq", "moments": [1, {big}]}}')
+            from_json(f'{{"format_version": "1", "kind": "two_bands_pair", "values": [[1, {big}]]}}')
     with pytest.raises(ParseError):
         from_json("[" * 100_000)
+
+
+def test_bad_cap_rejected(tmp_path, capsys):
+    # Rank1System checks the cap; from_json reports its ValueError as a ParseError
+    doc = json.loads(to_json(extract_system(shift_pair_rep(3, [[1, 0], [0, 1]]), cap=2)))
+    path = tmp_path / "system.json"
+    for cap in (2.5, True, -1, "3"):
+        doc["cap"] = cap
+        with pytest.raises(ParseError, match="cap must be a nonnegative int"):
+            from_json(json.dumps(doc))
+        path.write_text(json.dumps(doc))
+        assert main(["moment", str(path), "--word", "a0"]) == 2
+        assert "cap must be a nonnegative int" in capsys.readouterr().err
 
 
 def test_noncanonical_two_bands_word_rejected():
@@ -202,7 +221,7 @@ JSON_VALUES = st.recursive(
     max_leaves=12,
 )
 FIELDS = ("values", "moments", "left_indices", "right_indices", "lambda", "cap", "two_bands")
-KINDS = ("two_bands_pair", "partial_r_table", "moment_seq", "rank1_system")
+KINDS = ("two_bands_pair", "partial_r_table", "rank1_system")
 
 
 @given(
@@ -369,12 +388,14 @@ def test_run_selfcheck_size_must_be_an_int():
             run_selfcheck(0, size)
 
 
-def test_selfcheck_seed_env(monkeypatch, capsys):
+def test_selfcheck_seed_defaults_to_0(monkeypatch, capsys):
+    # the environment does not move the default seed
     monkeypatch.setenv("BIFREE_SEED", "5")
     assert main(["selfcheck", "--size", "1"]) == 0
-    via_env = capsys.readouterr().out
-    assert main(["selfcheck", "--seed", "5", "--size", "1"]) == 0
-    assert via_env == capsys.readouterr().out
+    default = capsys.readouterr().out
+    assert main(["selfcheck", "--seed", "0", "--size", "1"]) == 0
+    assert default == capsys.readouterr().out
+    assert default.endswith("(seed=0, size=1)\n")
 
 
 # -- cli.main on arbitrary argv and file contents --

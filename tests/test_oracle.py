@@ -300,6 +300,29 @@ def test_operators_are_immutable():
     assert (rep.dim, rep.reliable) == (2, (0, 1))
 
 
+def test_product_state_is_read_only():
+    rep = TwoFacedPairRep(2, {0: [[1, 2], [3, 4]]}, {0: [[0, 1], [1, 0]]})
+    p = ProductState([rep], max_word_len=2)
+    for name, value in (("max_word_len", 8), ("factors", (rep, rep))):
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    assert copy.copy(p) is p
+    assert (p.factors, p.max_word_len) == ((rep,), 2)
+    with pytest.raises(TruncationUnsound):
+        sum_two_bands_table(p, (4, 4))
+
+
+def test_product_state_refuses_a_non_rep_factor():
+    rep = TwoFacedPairRep(2, {0: [[1, 2], [3, 4]]}, {0: [[0, 1], [1, 0]]})
+    for factors in ([1], [rep, None], [rep, {0: [[1]]}]):
+        with pytest.raises(TypeError, match="TwoFacedPairRep"):
+            ProductState(factors, 2)
+
+
 def test_import_loads_only_the_standard_library():
     # the matrices are plain tuples, so the package needs nothing installed
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -66,6 +66,13 @@ def test_semicircle_is_the_free_gaussian():
     assert moments_to_r(SEMICIRCLE) == Series1([0, 1, 0, 0, 0, 0, 0, 0])
 
 
+def test_r_to_moments_needs_order_coefficients():
+    # a cumulant series of order N - 1 (N coefficients) gives moments to N
+    assert r_to_moments(Series1([3]), 1) == (1, 3)
+    with pytest.raises(ValueError):
+        r_to_moments(Series1([3]), 2)
+
+
 def test_r_to_moments_trivial():
     assert r_to_moments(Series1([0, 0, 0]), 3) == (1, 0, 0, 0)
     c = F(-3, 2)
