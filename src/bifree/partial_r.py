@@ -15,17 +15,21 @@ Both directions of the conversion are one pass of the pole-free identity
 
 where ``H(t, s) = sum phi(a^m b^n) t^m s^n``, ``ra, rb`` are the marginal
 free cumulant series and ``ka, kb`` the inverses of ``t*ha(t)``, ``s*hb(s)``.
-Forward, the marginal moments give ``ka`` and ``kb`` by the one-variable
-tower step; S = H(ka, kb) has column 0 ``1 + z ra`` and row 0 ``1 + w rb``,
+Forward, ``ka = z (1/ha)(ka)``, so by Lagrange-Buermann the powers that
+the substitution needs come straight from the powers of ``1/ha``,
+``[z^n] ka^p = (p/n) [w^(n-p)] (1/ha)^n``, with no reversion; likewise
+``kb``.  S = H(ka, kb) has column 0 ``1 + z ra`` and row 0 ``1 + w rb``,
 so the identity gives R from S's own marginals.  Backward, column 0 and
 row 0 of R are ``z ra`` and ``w rb``; they cancel in the denominator, which
 is D = 1 - (the mixed part of R), and solving for H gives
 
     H(t, s) = Q(t ha(t), s hb(s)),    Q(z, w) = (1 + z ra(z)) (1 + w rb(w)) / D(z, w)
 
-with ``ha = (1 + t ra)(t ha)`` solved by one Lagrange step.  Every step is
-exact; between the marginals and the output both directions run on integer
-grids over one denominator.
+where ``t ha = t pa(t ha)`` for ``pa = 1 + z ra``, so the powers of
+``t ha`` are the same Lagrange-Buermann rows, taken from the powers of
+``pa``.  Every step is exact, and both directions run on integer grids
+over one denominator from the input table to the output: no
+one-variable series is built on the way.
 
 Tables are immutable after construction and all functions here are pure, so
 values can be shared between threads freely.
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import BoxMismatch, Series1, Series2, _convolve, _fractions, _lagrange, _reciprocal
+from .series import BoxMismatch, Series2, _burmann_rows, _convolve, _fractions, _reciprocal
 from .series import _reduced, _scaled, _substitute
 from .transforms import BadNormalization
 
@@ -105,13 +109,17 @@ def compute_partial_r(table: TwoBandsTable) -> PartialRTable:
     """Two-bands bi-free cumulant table of a two-bands moment table.
 
     Exact on the whole input box: R[m][n] is a universal integer polynomial
-    in the moments phi(a^p b^q) with p <= m, q <= n.  With S = H(ka, kb),
-    S(z, 0) = 1 + z ra and S(0, w) = 1 + w rb exactly, so R is
-    S(z, 0) + S(0, w) - 1 - S(z, 0) S(0, w) / S on S's own integer grid.
+    in the moments phi(a^p b^q) with p <= m, q <= n.  The powers of ka and
+    kb are the Lagrange-Buermann rows of 1/ha and 1/hb, the integer
+    reciprocals of column 0 and row 0 of the scaled table.  With
+    S = H(ka, kb), S(z, 0) = 1 + z ra and S(0, w) = 1 + w rb exactly, so R
+    is S(z, 0) + S(0, w) - 1 - S(z, 0) S(0, w) / S on S's own integer grid.
     """
-    ka = _lagrange(Series1(table.a_moments()).reciprocal()).shift_up()
-    kb = _lagrange(Series1(table.b_moments()).reciprocal()).shift_up()
-    s, ds = _substitute(*_scaled(table.values), ka, kb)
+    h, dh = _scaled(table.values)
+    m, n = table.box
+    ka = _burmann_rows(*_reciprocal([[x[0]] for x in h], dh), m)
+    kb = _burmann_rows(*_reciprocal([[x] for x in h[0]], dh), n)
+    s, ds = _substitute(h, dh, ka, kb)
     col, row = [x[0] for x in s], s[0]
     q, dq = _quotient(col, row, s, ds)
     linear = [[x] + [0] * (len(row) - 1) for x in col]
@@ -127,7 +135,8 @@ def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
     pb = 1 + w rb(w) read off column 0 and row 0 of ``r``, row 0 and
     column 0 cancel in pa + pb - 1 - R, which leaves D = 1 - (the mixed
     part of R).  Then H = Q(t ha(t), s hb(s)) for Q = pa pb / D, where
-    ha = pa(t ha) and likewise for b.
+    t ha = t pa(t ha), so the powers of t ha are the Lagrange-Buermann
+    rows of pa's integer column, and likewise for b.
     """
     rho, d = _scaled(r.values)
     a = [row[0] for row in rho]
@@ -135,8 +144,9 @@ def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
     a[0] = b[0] = d  # 1 + R[0][0] = 1
     grid = [[-x if i and j else 0 for j, x in enumerate(row)] for i, row in enumerate(rho)]
     grid[0][0] = d
-    ga = _lagrange(Series1(r.a_cumulants()) + 1).shift_up()
-    gb = _lagrange(Series1(r.b_cumulants()) + 1).shift_up()
+    m, n = r.box
+    ga = _burmann_rows([[x] for x in a], d, m)
+    gb = _burmann_rows([[x] for x in b], d, n)
     return TwoBandsTable(_fractions(*_substitute(*_quotient(a, b, grid, d), ga, gb)))
 
 

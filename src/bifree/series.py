@@ -12,7 +12,10 @@ classes, run on Python ints: each operand grid is scaled to integers over
 the LCM of its denominators, and one Fraction is built per output
 coefficient.  The reciprocal and substitution kernels take and return a
 reduced integer grid over one denominator, so they chain without Fractions.
-A one-variable series enters these kernels as a one-column grid.
+A one-variable series enters these kernels as a one-column grid, and the
+substitution takes its inner series as integer power rows: _power_rows
+builds them from any series that vanishes at 0, and _burmann_rows from phi
+alone for the solution f of f = z phi(f).
 
 Values are immutable and hashable and may be shared freely between threads.
 """
@@ -175,7 +178,8 @@ class Series1:
 
     def compose(self, g: "Series1") -> "Series1":
         """self(g(t)) to order min(self.order, g.order); g must vanish at 0."""
-        column, d = _substitute(*_scaled([c] for c in self.coeffs), g, Series1([0]))
+        grid, dh = _scaled([c] for c in self.coeffs)
+        column, d = _substitute(grid, dh, _power_rows(g, self.order), ([[1]], 1))
         return Series1([Fraction(x, d) for (x,) in column])
 
     def revert(self) -> "Series1":
@@ -311,7 +315,9 @@ class Series2:
         inner orders: beyond that the substituted coefficients would depend
         on unknown data.
         """
-        return Series2(_fractions(*_substitute(*_scaled(self.values), f, g)))
+        m, n = self.box
+        return Series2(_fractions(*_substitute(*_scaled(self.values),
+                                               _power_rows(f, m), _power_rows(g, n))))
 
 
 def _reciprocal(a, d):
@@ -348,25 +354,23 @@ def _reciprocal(a, d):
                      for p, row in enumerate(b)], powers[m + n + 1])
 
 
-def _substitute(grid, dh, f: Series1, g: Series1):
-    """(ints, den) of (grid / dh)(f(z), g(w)) for inner series vanishing at 0.
+def _substitute(grid, dh, f_rows, g_rows):
+    """(ints, den) of (grid / dh)(f(z), g(w)) from the power rows of f and g.
 
-    The box is (min(m, f.order), min(n, g.order)) for an integer grid on
-    (m, n).  With F[p][i] = [z^i] f^p and G[q][j] = [w^j] g^q the result is
-    F^T H G, computed in two passes, T = H G and then F^T T, on integers
-    over one common denominator, reduced.
+    f_rows = (F, df) holds F[p][i] / df = [z^i] f^p, as _power_rows and
+    _burmann_rows return it, and likewise g_rows = (G, dg).  The box is
+    (min(m, len(F) - 1), min(n, len(G) - 1)) for an integer grid on (m, n).
+    The result is F^T H G, computed in two passes, T = H G and then F^T T,
+    on integers over one common denominator, reduced.
     """
-    if f.coeffs[0] != 0 or g.coeffs[0] != 0:
-        raise NonzeroConstantSubstitution("substituted series must vanish at 0")
-    m = min(len(grid) - 1, f.order)
-    n = min(len(grid[0]) - 1, g.order)
+    (fp, df), (gq, dg) = f_rows, g_rows
+    m = min(len(grid) - 1, len(fp) - 1)
+    n = min(len(grid[0]) - 1, len(gq) - 1)
     h = [row[: n + 1] for row in grid[: m + 1]]
-    fp, df = _power_rows(f, m)
-    gq, dg = _power_rows(g, n)
-    # g^q starts at w^q, so only q <= j and p <= i contribute
+    # f^p and g^q vanish below z^p and w^q, so only p <= i and q <= j contribute
     t = [[sum(row[q] * gq[q][j] for q in range(j + 1)) for j in range(n + 1)] for row in h]
     return _reduced([[sum(fp[p][i] * t[p][j] for p in range(i + 1)) for j in range(n + 1)]
-                     for i in range(m + 1)], dh * df**m * dg**n)
+                     for i in range(m + 1)], dh * df * dg)
 
 
 def _scaled(grid):
@@ -414,11 +418,15 @@ def _convolve(a, b, m, n):
 
 
 def _power_rows(f: Series1, k: int):
-    """(rows, d) with rows[p][i] / d^k = [z^i] f^p for p, i <= k.
+    """(rows, den) with rows[p][i] / den = [z^i] f^p for p, i <= min(k, f.order).
 
-    The powers of f's integer coefficients are (k, 0) grid products, and
-    row p is scaled by d^(k-p) so that every row shares the denominator d^k.
+    f must vanish at 0.  The powers of f's integer coefficients are grid
+    products on (k, 0), and row p is scaled by d^(k-p) so that every row
+    shares the denominator den = d^k.
     """
+    if f.coeffs[0] != 0:
+        raise NonzeroConstantSubstitution("substituted series must vanish at 0")
+    k = min(k, f.order)
     col, d = _scaled([c] for c in f.coeffs[: k + 1])
     power = [[1]] + [[0] for _ in range(k)]
     rows = []
@@ -427,4 +435,25 @@ def _power_rows(f: Series1, k: int):
             power = _convolve(power, col, k, 0)
         scale = d ** (k - p)
         rows.append([x * scale for (x,) in power])
-    return rows, d
+    return rows, d**k
+
+
+def _burmann_rows(phi, d, k):
+    """(rows, den) with rows[p][n] / den = [z^n] f^p for p, n <= k, where f = z (phi / d)(f).
+
+    phi is an integer column on (k - 1, 0) or larger.  Lagrange-Buermann
+    gives the powers of f with no reversion: with P_n = phi^n,
+    [z^n] f^p = p [w^(n-p)] P_n / (n d^n) for n >= 1, and f^0 = 1.  Only
+    w^0 .. w^(k-1) of each power are read, so the powers are grid products
+    on (k - 1, 0), and den = d^k lcm(1, ..., k) clears every n d^n.
+    """
+    lcm_n = lcm(*range(1, k + 1))
+    den = d**k * lcm_n
+    rows = [[den] + [0] * k] + [[0] * (k + 1) for _ in range(k)]
+    power = [[1]] + [[0] for _ in range(k - 1)]
+    for n in range(1, k + 1):
+        power = _convolve(power, phi, k - 1, 0)
+        scale = d ** (k - n) * (lcm_n // n)
+        for p in range(1, n + 1):
+            rows[p][n] = p * power[n - p][0] * scale
+    return rows, den

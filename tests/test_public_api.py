@@ -102,3 +102,18 @@ def test_the_oracle_imports_no_series_kernel():
                     elif source.startswith("bifree"):
                         assert alias.name != "series", where
                         assert not alias.name.startswith("_") or source == "bifree.oracle", where
+
+
+def test_partial_r_stays_on_integer_grids():
+    # Both two-variable maps run on (ints, den) grids from the table to the
+    # output: the Lagrange-Buermann power rows replace the Fraction tower
+    # step, so partial_r must not bring back that step or the one-variable
+    # class it computes on.
+    banned = {"_lagrange", "Series1"}
+    tree = ast.parse((ROOT / "src" / "bifree" / "partial_r.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {alias.name.split(".")[-1] for alias in node.names}
+            assert not names & banned, names & banned
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in banned, node.attr

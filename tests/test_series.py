@@ -13,7 +13,9 @@ from bifree.series import (
     Series1,
     Series2,
     ZeroConstantTerm,
+    _burmann_rows,
     _lagrange,
+    _power_rows,
     _reciprocal,
     _reduced,
     _scaled,
@@ -158,6 +160,27 @@ def test_lagrange_solves_its_fixed_point(order, lead, data):
     assert u == horner_compose(phi, u.shift_up())
 
 
+@pytest.mark.parametrize("lead", [F(2), F(-3, 2), F(5, 3), F(1)])
+@pytest.mark.parametrize("order", range(13))
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_burmann_rows_match_lagrange_power_rows(order, lead, data):
+    # The power rows of f = t u, u = phi(t u), straight from the powers of
+    # phi, against reversion by the Fraction Lagrange step and a power loop.
+    # Lead 1 is the inverse map's phi = 1 + z r; the others are the forward
+    # map's 1 / h.  Only phi's first `order` coefficients may be read.
+    entries = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+    tail = data.draw(st.lists(entries, min_size=order, max_size=order))
+    phi = Series1([lead, *tail])
+    column, d = _scaled([c] for c in phi.coeffs)
+    rows, den = _burmann_rows(column[:order], d, order)
+    want, want_den = _power_rows(_lagrange(phi).shift_up(), order)
+    assert len(rows) == len(want) == order + 1
+    assert [[F(x, den) for x in row] for row in rows] == [
+        [F(x, want_den) for x in row] for row in want
+    ]
+
+
 @given(series1(5))
 @settings(max_examples=60)
 def test_revert_is_involutive(f):
@@ -274,7 +297,8 @@ def test_kernels_return_reduced_grids(box, data):
     x = grid(data, box, corner=units)
     assert _reciprocal(*_scaled(x.values)) == _scaled(x.reciprocal().values)
     f, g = inner_series(data), inner_series(data)
-    assert _substitute(*_scaled(x.values), f, g) == _scaled(x.substitute(f, g).values)
+    rows = _power_rows(f, box[0]), _power_rows(g, box[1])
+    assert _substitute(*_scaled(x.values), *rows) == _scaled(x.substitute(f, g).values)
 
 
 # the one-variable reciprocal and composition are one-column grids in the
