@@ -29,7 +29,7 @@ where ``t ha = t pa(t ha)`` for ``pa = 1 + z ra``, so the powers of
 ``t ha`` are the same Lagrange-Buermann rows, taken from the powers of
 ``pa``.  Every step is exact, and both directions run on integer grids
 over one denominator from the input table to the output: no
-one-variable series is built on the way.
+one-variable series is built on the way, and a quotient is one division.
 
 Tables are immutable after construction and all functions here are pure, so
 values can be shared between threads freely.
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import BoxMismatch, Series2, _burmann_rows, _convolve, _fractions, _reciprocal
+from .series import BoxMismatch, Series2, _burmann_rows, _divide, _fractions, _reciprocal
 from .series import _reduced, _scaled, _substitute
 from .transforms import BadNormalization
 
@@ -98,11 +98,30 @@ class PartialRTable(Series2):
         return self.values[0]
 
 
-def _quotient(col, row, grid, den):
-    """(ints, d) of col(z) row(w) / grid(z, w) for integer col, row and grid over den."""
-    inverse, d = _reciprocal(grid, den)
-    outer = [[x * y for y in row] for x in col]
-    return _reduced(_convolve(outer, inverse, len(col) - 1, len(row) - 1), den * den * d)
+def _forward(values, m, n):
+    """(ints, den) of the cumulant table of the moment rows ``values`` on the box (m, n)."""
+    h, dh = _scaled(values)
+    ka = _burmann_rows(*_reciprocal([[x[0]] for x in h], dh), m)
+    kb = _burmann_rows(*_reciprocal([[x] for x in h[0]], dh), n)
+    s, ds = _substitute(h, dh, ka, kb)
+    col, row = [x[0] for x in s], s[0]
+    q, dq = _divide([[x * y for y in row] for x in col], s, ds)
+    linear = [[x] + [0] * (len(row) - 1) for x in col]
+    linear[0] = [col[0] + row[0] - ds] + row[1:]
+    return [[u * dq - v * ds for u, v in zip(lr, qr)] for lr, qr in zip(linear, q)], ds * dq
+
+
+def _inverse(rho, d, m, n):
+    """The moment table whose cumulant table is the integer grid rho over d, on the box (m, n)."""
+    a = [row[0] for row in rho]
+    b = list(rho[0])
+    a[0] = b[0] = d  # 1 + R[0][0] = 1
+    grid = [[-x if i and j else 0 for j, x in enumerate(row)] for i, row in enumerate(rho)]
+    grid[0][0] = d
+    ga = _burmann_rows([[x] for x in a], d, m)
+    gb = _burmann_rows([[x] for x in b], d, n)
+    q = _divide([[x * y for y in b] for x in a], grid, d)
+    return TwoBandsTable(_fractions(*_substitute(*q, ga, gb)))
 
 
 def compute_partial_r(table: TwoBandsTable) -> PartialRTable:
@@ -115,17 +134,7 @@ def compute_partial_r(table: TwoBandsTable) -> PartialRTable:
     S = H(ka, kb), S(z, 0) = 1 + z ra and S(0, w) = 1 + w rb exactly, so R
     is S(z, 0) + S(0, w) - 1 - S(z, 0) S(0, w) / S on S's own integer grid.
     """
-    h, dh = _scaled(table.values)
-    m, n = table.box
-    ka = _burmann_rows(*_reciprocal([[x[0]] for x in h], dh), m)
-    kb = _burmann_rows(*_reciprocal([[x] for x in h[0]], dh), n)
-    s, ds = _substitute(h, dh, ka, kb)
-    col, row = [x[0] for x in s], s[0]
-    q, dq = _quotient(col, row, s, ds)
-    linear = [[x] + [0] * (len(row) - 1) for x in col]
-    linear[0] = [col[0] + row[0] - ds] + row[1:]
-    return PartialRTable([[Fraction(u * dq - v * ds, ds * dq) for u, v in zip(lr, qr)]
-                          for lr, qr in zip(linear, q)])
+    return PartialRTable(_fractions(*_forward(table.values, *table.box)))
 
 
 def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
@@ -138,27 +147,21 @@ def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
     t ha = t pa(t ha), so the powers of t ha are the Lagrange-Buermann
     rows of pa's integer column, and likewise for b.
     """
-    rho, d = _scaled(r.values)
-    a = [row[0] for row in rho]
-    b = list(rho[0])
-    a[0] = b[0] = d  # 1 + R[0][0] = 1
-    grid = [[-x if i and j else 0 for j, x in enumerate(row)] for i, row in enumerate(rho)]
-    grid[0][0] = d
-    m, n = r.box
-    ga = _burmann_rows([[x] for x in a], d, m)
-    gb = _burmann_rows([[x] for x in b], d, n)
-    return TwoBandsTable(_fractions(*_substitute(*_quotient(a, b, grid, d), ga, gb)))
+    return _inverse(*_scaled(r.values), *r.box)
 
 
 def biconvolve(t1: TwoBandsTable, t2: TwoBandsTable) -> TwoBandsTable:
     """Two-bands moments of (a' + a'', b' + b'') for bi-free pairs.
 
     Both tables must live on the same box; truncate explicitly beforehand if
-    they do not, so no order loss can pass silently.
+    they do not, so no order loss can pass silently.  Two forward passes and
+    one inverse on integers: the cumulant grids add as (r1 d2 + r2 d1) / (d1 d2).
     """
     if t1.box != t2.box:
         raise BoxMismatch(f"boxes differ: {t1.box} vs {t2.box}")
-    return partial_r_to_moments(compute_partial_r(t1) + compute_partial_r(t2))
+    (r1, d1), (r2, d2) = _forward(t1.values, *t1.box), _forward(t2.values, *t1.box)
+    total = [[x * d2 + y * d1 for x, y in zip(u, v)] for u, v in zip(r1, r2)]
+    return _inverse(*_reduced(total, d1 * d2), *t1.box)
 
 
 def mixed_cumulants_vanish(table: TwoBandsTable) -> bool:
@@ -167,9 +170,5 @@ def mixed_cumulants_vanish(table: TwoBandsTable) -> bool:
     Holds exactly when the left and right variable are classically
     independent as far as the box can see.
     """
-    r = compute_partial_r(table)
-    return all(
-        r.values[i][j] == 0
-        for i in range(1, r.left_order + 1)
-        for j in range(1, r.right_order + 1)
-    )
+    r, _ = _forward(table.values, *table.box)
+    return not any(x for row in r[1:] for x in row[1:])

@@ -212,11 +212,12 @@ def biconvolve_rank1(s1: Rank1System, s2: Rank1System) -> Rank1System:
     """Bi-free additive convolution of two single-pair systems.
 
     The coefficients matrices add; the two-bands moments convolve through
-    the partial R-transform, one rectangular box per maximal stored word.
-    Both systems must store the same collection of words (a rectangle, or
-    the full triangle below the cap), and every convolved word needs its
-    whole dependency rectangle present; a missing moment raises rather than
-    being extrapolated.
+    the partial R-transform on one box, (max p, max q) over the stored
+    words a^p b^q; output (u, v) reads only inputs (p, q) <= (u, v), so the
+    unstored cells hold a fill that is never read back.  Both systems must
+    store the same collection of words (a rectangle, or the full triangle
+    below the cap), and every stored word needs its whole dependency
+    rectangle present; a missing moment raises rather than being extrapolated.
     """
     s1._require_single_pair()
     s2._require_single_pair()
@@ -230,18 +231,14 @@ def biconvolve_rank1(s1: Rank1System, s2: Rank1System) -> Rank1System:
     if set(s1.two_bands) != set(s2.two_bands):
         raise ValueError("systems store different two-bands domains")
     i, j = s1.left_indices[0], s1.right_indices[0]
-    degrees = {(len(il), len(jl)) for il, jl in s1.two_bands}
-    corners = [
-        (p, q)
-        for p, q in degrees
-        if not any((p, q) != (u, v) and p <= u and q <= v for u, v in degrees)
-    ]
-    two_bands = {}
-    for p, q in sorted(corners):
-        out = biconvolve(s1.table((p, q)), s2.table((p, q)))
-        for u in range(p + 1):
-            for v in range(q + 1):
-                two_bands[((i,) * u, (j,) * v)] = out.values[u][v]
+    degrees = sorted({(len(il), len(jl)) for il, jl in s1.two_bands})
+    # row u is read up to the longest stored a^p b^q with p >= u, and phi
+    # raises CapExceeded at the first gap; the rest of the box holds 0
+    reach = [max(q for p, q in degrees if p >= u) for u in range(degrees[-1][0] + 1)]
+    grids = [[[s.phi((i,) * u, (j,) * v) if v <= r else 0 for v in range(reach[0] + 1)]
+              for u, r in enumerate(reach)] for s in (s1, s2)]
+    out = biconvolve(*map(TwoBandsTable, grids)).values
+    two_bands = {((i,) * u, (j,) * v): out[u][v] for u, v in degrees}
     lam = {(i, j): s1.coefficient(i, j) + s2.coefficient(i, j)}
     return Rank1System((i,), (j,), lam, two_bands, s1.cap)
 

@@ -10,7 +10,7 @@ zero; for that reason series can be truncated but never padded.
 The two-variable product, and the reciprocal and substitution in both
 classes, run on Python ints: each operand grid is scaled to integers over
 the LCM of its denominators, and one Fraction is built per output
-coefficient.  The reciprocal and substitution kernels take and return a
+coefficient.  The division and substitution kernels take and return a
 reduced integer grid over one denominator, so they chain without Fractions.
 A one-variable series enters these kernels as a one-column grid, and the
 substitution takes its inner series as integer power rows: _power_rows
@@ -321,12 +321,17 @@ class Series2:
 
 
 def _reciprocal(a, d):
-    """(ints, den) of 1 / (a / d) for an integer grid a; the corner must be nonzero.
+    """(ints, den) of 1 / (a / d) for an integer grid a: _divide with d at the corner."""
+    return _divide([[d] + [0] * (len(a[0]) - 1)] + [[0] * len(a[0])] * (len(a) - 1), a, 1)
 
-    Fraction-free: with a0 = a[0][0], the scaled coefficients
-    B[p][q] = a0^(p+q+1) (1/a)[p][q] are integers and
-    B[p][q] = -sum over (i, j) != (0, 0) of a[i][j] a0^(i+j-1) B[p-i][q-j],
-    so the result is d B[p][q] a0^(m+n-p-q) over a0^(m+n+1), reduced.
+
+def _divide(num, a, den):
+    """(ints, d) of (num / den) / a for integer grids num, a on one box; a[0][0] != 0.
+
+    One fraction-free pass: with a0 = a[0][0], B[p][q] = a0^(p+q+1) (num / a)[p][q]
+    are integers, B[p][q] = a0^(p+q) num[p][q] - sum over (i, j) != (0, 0) of
+    a[i][j] a0^(i+j-1) B[p-i][q-j], and the result is B[p][q] a0^(m+n-p-q)
+    over den a0^(m+n+1), reduced.  A zero entry of num costs nothing.
     """
     if a[0][0] == 0:
         raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
@@ -339,19 +344,18 @@ def _reciprocal(a, d):
     a = [[x * powers[i + j - 1] if i + j else 0 for j, x in enumerate(row)]
          for i, row in enumerate(a)]
     b = [[0] * (n + 1) for _ in range(m + 1)]
-    b[0][0] = 1
     for p in range(m + 1):
         for q in range(n + 1):
-            if p or q:
-                acc = 0
-                for i in range(p + 1):
-                    ai, bi = a[i], b[p - i]
-                    for j in range(q + 1):
-                        if ai[j]:
-                            acc -= ai[j] * bi[q - j]
-                b[p][q] = acc
-    return _reduced([[d * x * powers[m + n - p - q] for q, x in enumerate(row)]
-                     for p, row in enumerate(b)], powers[m + n + 1])
+            x = num[p][q]
+            acc = x * powers[p + q] if x else 0
+            for i in range(p + 1):
+                ai, bi = a[i], b[p - i]
+                for j in range(q + 1):
+                    if ai[j]:
+                        acc -= ai[j] * bi[q - j]
+            b[p][q] = acc
+    return _reduced([[x * powers[m + n - p - q] for q, x in enumerate(row)]
+                     for p, row in enumerate(b)], den * powers[m + n + 1])
 
 
 def _substitute(grid, dh, f_rows, g_rows):

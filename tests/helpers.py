@@ -21,9 +21,9 @@ from bifree.oracle import (
     _matvec,
     _rational_matrix,
 )
-from bifree.partial_r import PartialRTable, TwoBandsTable, compute_partial_r
-from bifree.rank1 import NotRank1, Rank1System
-from bifree.series import NotInvertible, Series1, Series2
+from bifree.partial_r import PartialRTable, TwoBandsTable, biconvolve, compute_partial_r
+from bifree.rank1 import NotRank1, Rank1System, UnsupportedIndexSets
+from bifree.series import NotInvertible, Series1, Series2, ZeroConstantTerm, _convolve, _reduced
 from bifree.transforms import _marginal, moments_to_r, r_to_moments
 
 
@@ -263,6 +263,36 @@ def fraction_substitute(h: Series2, f: Series1, g: Series1) -> Series2:
     return Series2(out)
 
 
+def two_pass_reciprocal(a, d):
+    """(ints, den) of 1 / (a / d) for an integer grid a, by the reciprocal
+    recurrence alone: with a0 = a[0][0], B[p][q] = a0^(p+q+1) (1/a)[p][q] and
+    B[p][q] = -sum over (i, j) != (0, 0) of a[i][j] a0^(i+j-1) B[p-i][q-j]."""
+    if a[0][0] == 0:
+        raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
+    m, n = len(a) - 1, len(a[0]) - 1
+    a0 = a[0][0]
+    b = [[0] * (n + 1) for _ in range(m + 1)]
+    b[0][0] = 1
+    for p in range(m + 1):
+        for q in range(n + 1):
+            if p or q:
+                b[p][q] = -sum(
+                    a[i][j] * a0 ** (i + j - 1) * b[p - i][q - j]
+                    for i in range(p + 1)
+                    for j in range(q + 1)
+                    if i or j
+                )
+    return _reduced([[d * x * a0 ** (m + n - p - q) for q, x in enumerate(row)]
+                     for p, row in enumerate(b)], a0 ** (m + n + 1))
+
+
+def two_pass_divide(num, a, den):
+    """(ints, den) of (num / den) / a as two passes: the reciprocal of a,
+    then its product with num."""
+    inverse, d = two_pass_reciprocal(a, 1)
+    return _reduced(_convolve(num, inverse, len(a) - 1, len(a[0]) - 1), den * d)
+
+
 def noncrossing_partitions(size: int) -> list:
     """Every non-crossing partition of range(size), as a list of blocks.
 
@@ -419,6 +449,34 @@ def rank1_from_table(table: TwoBandsTable, lam_value) -> Rank1System:
     }
     cap = table.left_order + table.right_order
     return Rank1System((0,), (0,), {(0, 0): lam_value}, two_bands, cap)
+
+
+def per_corner_biconvolve_rank1(s1: Rank1System, s2: Rank1System) -> Rank1System:
+    """biconvolve_rank1 with one biconvolve per maximal stored degree (p, q),
+    each on the rectangle (p, q) of stored moments alone."""
+    s1._require_single_pair()
+    s2._require_single_pair()
+    if s1.left_indices != s2.left_indices or s1.right_indices != s2.right_indices:
+        raise UnsupportedIndexSets("systems must declare the same index labels")
+    if s1.cap != s2.cap:
+        raise ValueError(f"caps differ: {s1.cap} vs {s2.cap}")
+    if set(s1.two_bands) != set(s2.two_bands):
+        raise ValueError("systems store different two-bands domains")
+    i, j = s1.left_indices[0], s1.right_indices[0]
+    degrees = {(len(il), len(jl)) for il, jl in s1.two_bands}
+    corners = [
+        (p, q)
+        for p, q in degrees
+        if not any((p, q) != (u, v) and p <= u and q <= v for u, v in degrees)
+    ]
+    two_bands = {}
+    for p, q in sorted(corners):
+        out = biconvolve(s1.table((p, q)), s2.table((p, q)))
+        for u in range(p + 1):
+            for v in range(q + 1):
+                two_bands[((i,) * u, (j,) * v)] = out.values[u][v]
+    lam = {(i, j): s1.coefficient(i, j) + s2.coefficient(i, j)}
+    return Rank1System((i,), (j,), lam, two_bands, s1.cap)
 
 
 def mirrored_apply_right(product, k, mat, vec: dict) -> dict:

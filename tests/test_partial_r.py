@@ -252,6 +252,24 @@ def test_biconvolve_box_mismatch():
         biconvolve(t1, t2)
 
 
+@pytest.mark.parametrize("box", [(m, n) for m in range(6) for n in range(6)])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_biconvolve_is_the_sum_of_cumulant_tables(box, data):
+    # biconvolve adds the two cumulant grids on integers between the maps;
+    # the public route adds PartialRTables of Fractions
+    entries = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+    row = st.lists(entries, min_size=box[1] + 1, max_size=box[1] + 1)
+    t1, t2 = (
+        TwoBandsTable([[F(1)] + rows[0][1:], *rows[1:]])
+        for rows in (data.draw(st.lists(row, min_size=box[0] + 1, max_size=box[0] + 1))
+                     for _ in range(2))
+    )
+    want = partial_r_to_moments(compute_partial_r(t1) + compute_partial_r(t2))
+    assert biconvolve(t1, t2) == want
+    assert biconvolve(t2, t1) == want
+
+
 def test_table_truncate_rejects_negative_orders():
     t = TwoBandsTable.product([1, 2, 5], [1, -1, 4])
     r = compute_partial_r(t)

@@ -108,8 +108,9 @@ def test_partial_r_stays_on_integer_grids():
     # Both two-variable maps run on (ints, den) grids from the table to the
     # output: the Lagrange-Buermann power rows replace the Fraction tower
     # step, so partial_r must not bring back that step or the one-variable
-    # class it computes on.
-    banned = {"_lagrange", "Series1"}
+    # class it computes on.  Its quotients are one fraction-free division,
+    # so it needs no separate product kernel either.
+    banned = {"_lagrange", "Series1", "_convolve"}
     tree = ast.parse((ROOT / "src" / "bifree" / "partial_r.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -117,3 +118,11 @@ def test_partial_r_stays_on_integer_grids():
             assert not names & banned, names & banned
         elif isinstance(node, ast.Attribute):
             assert node.attr not in banned, node.attr
+    # biconvolve adds the two cumulant grids on integers: no cumulant table,
+    # and no Fraction, stands between the forward and the inverse map
+    (body,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "biconvolve"]
+    named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    between = {"PartialRTable", "compute_partial_r", "partial_r_to_moments", "Fraction"}
+    assert not named & between, named & between

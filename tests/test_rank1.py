@@ -16,7 +16,7 @@ from bifree.oracle import (
     shift_pair_rep,
     sum_two_bands_table,
 )
-from bifree.partial_r import TwoBandsTable
+from bifree.partial_r import TwoBandsTable, biconvolve
 from bifree.rank1 import (
     CapExceeded,
     NotRank1,
@@ -35,6 +35,7 @@ from helpers import (
     fraction_extract_system,
     fraction_mixed_moment,
     left_action,
+    per_corner_biconvolve_rank1,
     rank1_from_table,
     right_action,
 )
@@ -527,6 +528,98 @@ def test_biconvolve_rank1_rejects_multi_pairs():
         biconvolve_rank1(multi, multi)
     with pytest.raises(ValueError):
         biconvolve_rank1(s, rank1_from_table(TwoBandsTable([[1]]), 0))
+
+
+def random_single_pair(rng, corners, lam=None):
+    """A single-pair system storing every a^u b^v below one of ``corners``,
+    with entries p/q, q in {1, 2, 3, 5}, and the cap the largest p + q."""
+    cells = {(u, v) for p, q in corners for u in range(p + 1) for v in range(q + 1)}
+    two_bands = {
+        ((0,) * u, (0,) * v): F(rng.randint(-4, 4), rng.choice([1, 2, 3, 5])) if u + v else F(1)
+        for u, v in sorted(cells)
+    }
+    if lam is None:
+        lam = F(rng.randint(-3, 3), rng.choice([1, 2]))
+    return Rank1System((0,), (0,), {(0, 0): lam}, two_bands, max(p + q for p, q in corners))
+
+
+def convolution_pairs():
+    mixes = ([[1, 1], [0, 1]], [[2, 0], [1, 1]])
+    shift = [extract_system(shift_pair_rep(5, mix), cap=6) for mix in mixes]
+    vector_sets = [([1, 2], [1, 0], [0, 1], [2, 1]), ([0, 1], [1, 1], [1, 0], [0, 2])]
+    gauss = [extract_system(gaussian_pair_rep(*vecs, fock_cutoff=3), cap=4) for vecs in vector_sets]
+    rng = random.Random(53)
+    pairs = [shift, gauss]
+    for corners in ([(2, 3)], [(4, 0), (0, 4), (2, 2)], [(0, 5)], [(3, 0)], [(0, 0)],
+                    [(p, 5 - p) for p in range(6)]):
+        pairs.append([random_single_pair(rng, corners) for _ in range(2)])
+    return pairs
+
+
+def test_biconvolve_rank1_matches_per_corner_route():
+    for s1, s2 in convolution_pairs():
+        out = biconvolve_rank1(s1, s2)
+        want = per_corner_biconvolve_rank1(s1, s2)
+        assert out.lam == want.lam
+        assert out.cap == want.cap
+        # equal values, and the words in the same order
+        assert list(out.two_bands.items()) == list(want.two_bands.items())
+
+
+def filled_table(system, box, fill):
+    """The table of a single-pair system on ``box``, ``fill`` where it stores nothing."""
+    m, n = box
+    return TwoBandsTable([[system.two_bands.get(((0,) * u, (0,) * v), fill)
+                           for v in range(n + 1)] for u in range(m + 1)])
+
+
+def test_biconvolve_rank1_ignores_the_fill():
+    # the box cells a system does not store are scratch: whatever they hold,
+    # every stored word convolves to the same moment
+    fills = (0, F(-7, 3))
+    for s1, s2 in convolution_pairs():
+        degrees = {(len(il), len(jl)) for il, jl in s1.two_bands}
+        box = (max(p for p, _ in degrees), max(q for _, q in degrees))
+        outs = [biconvolve(filled_table(s1, box, x), filled_table(s2, box, x)) for x in fills]
+        assert all(outs[0].values[u][v] == outs[1].values[u][v] for u, v in degrees)
+        out = biconvolve_rank1(s1, s2)
+        assert all(out.phi((0,) * u, (0,) * v) == outs[1].values[u][v] for u, v in degrees)
+
+
+def test_biconvolve_rank1_refusals_keep_their_messages():
+    rng = random.Random(59)
+    full = random_single_pair(rng, [(2, 2)])
+    # a stored word whose dependency rectangle is not fully stored
+    holes = dict(full.two_bands)
+    del holes[((0,), (0,))]
+    gappy = Rank1System((0,), (0,), {}, holes, full.cap)
+    other_label = Rank1System((0,), (1,), {}, {((), ()): 1}, full.cap)
+    other_cap = Rank1System((0,), (0,), {}, full.two_bands, full.cap + 1)
+    cases = [
+        ((gappy, gappy), CapExceeded, r"two-bands moment for \(\(0,\), \(0,\)\) not stored"),
+        ((full, other_label), UnsupportedIndexSets, "systems must declare the same index labels"),
+        ((full, other_cap), ValueError, "caps differ: 4 vs 5"),
+        ((full, gappy), ValueError, "systems store different two-bands domains"),
+    ]
+    for route in (biconvolve_rank1, per_corner_biconvolve_rank1):
+        for args, error, message in cases:
+            with pytest.raises(error, match=message):
+                route(*args)
+    # on random domains, gaps or none, both routes name the same first gap
+    for _ in range(200):
+        cells = [(0, 0)] + [(u, v) for u in range(4) for v in range(4 - u)
+                            if (u, v) != (0, 0) and rng.random() < 0.7]
+        two_bands = {((0,) * u, (0,) * v): F(1) if u + v == 0 else F(rng.randint(-3, 3), 2)
+                     for u, v in cells}
+        system = Rank1System((0,), (0,), {}, two_bands, 3)
+        outcomes = []
+        for route in (biconvolve_rank1, per_corner_biconvolve_rank1):
+            try:
+                out = route(system, system)
+                outcomes.append(list(out.two_bands.items()))
+            except CapExceeded as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
 
 
 def test_biconvolve_rank1_commutes_with_extraction():

@@ -14,6 +14,8 @@ from bifree.series import (
     Series2,
     ZeroConstantTerm,
     _burmann_rows,
+    _divide,
+    _fractions,
     _lagrange,
     _power_rows,
     _reciprocal,
@@ -28,6 +30,8 @@ from helpers import (
     fraction_substitute,
     horner_compose,
     picard_revert,
+    two_pass_divide,
+    two_pass_reciprocal,
 )
 
 rationals = st.fractions(
@@ -106,6 +110,8 @@ def test_reciprocal_needs_constant_term():
         Series2([[0, 1], [1, 0]]).reciprocal()
     with pytest.raises(ZeroConstantTerm):
         Series1([0, 1]).reciprocal()
+    with pytest.raises(ZeroConstantTerm):
+        _divide([[1, 2]], [[0, 1]], 1)
 
 
 # -- reversion --
@@ -274,6 +280,9 @@ def test_substitute_matches_fraction_loop(box, data):
     out = h.substitute(f, g)
     assert out.box == (min(box[0], f.order), min(box[1], g.order))
     assert out == fraction_substitute(h, f, g)
+    # power rows longer than the grid: the kernel still stops at the smaller box
+    rows = _power_rows(f, f.order), _power_rows(g, g.order)
+    assert Series2(_fractions(*_substitute(*_scaled(h.values), *rows))) == out
 
 
 @pytest.mark.parametrize("box", [(0, 0), (0, 3), (2, 0), (3, 2)])
@@ -299,6 +308,40 @@ def test_kernels_return_reduced_grids(box, data):
     f, g = inner_series(data), inner_series(data)
     rows = _power_rows(f, box[0]), _power_rows(g, box[1])
     assert _substitute(*_scaled(x.values), *rows) == _scaled(x.substitute(f, g).values)
+
+
+# one fraction-free division replaced the reciprocal of the divisor followed
+# by a product with the numerator; the two-pass route checks it on integer
+# grids up to (8, 8), one-column grids among them, with corners that make
+# every power of a0 count
+
+
+DIVIDE_BOXES = [(0, 0), (1, 0), (4, 0), (8, 0), (0, 3), (2, 2), (3, 5), (6, 4), (8, 8)]
+ints = st.integers(-30, 30)
+
+
+@pytest.mark.parametrize("box", DIVIDE_BOXES)
+@pytest.mark.parametrize("shape", ["full", "rank-one", "corner"])
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_divide_matches_two_pass_quotient(box, shape, data):
+    m, n = box
+    a = data.draw(st.lists(st.lists(ints, min_size=n + 1, max_size=n + 1),
+                           min_size=m + 1, max_size=m + 1))
+    a[0][0] = data.draw(st.sampled_from([2, -2, 3, -5, 7, 12]))
+    if shape == "full":
+        num = data.draw(st.lists(st.lists(ints, min_size=n + 1, max_size=n + 1),
+                                 min_size=m + 1, max_size=m + 1))
+    elif shape == "rank-one":
+        col = data.draw(st.lists(ints, min_size=m + 1, max_size=m + 1))
+        row = data.draw(st.lists(ints, min_size=n + 1, max_size=n + 1))
+        num = [[x * y for y in row] for x in col]
+    else:
+        num = [[0] * (n + 1) for _ in range(m + 1)]
+        num[0][0] = data.draw(st.sampled_from([1, -4, 9]))
+    den = data.draw(st.sampled_from([1, 2, 6, 35]))
+    assert _divide(num, a, den) == two_pass_divide(num, a, den)
+    assert _reciprocal(a, den) == two_pass_reciprocal(a, den)
 
 
 # the one-variable reciprocal and composition are one-column grids in the
