@@ -84,6 +84,10 @@ def _document(obj) -> dict:
                 "values": [[rational_to_json(v) for v in row] for row in obj.values],
             }
     if isinstance(obj, Rank1System):
+        # a word names its labels in decimal digits, so only those read back
+        for label in obj.left_indices + obj.right_indices:
+            if not isinstance(label, int) or isinstance(label, bool) or label < 0:
+                raise ValueError(f"label {label!r} is not a non-negative int")
         lam = [
             [rational_to_json(obj.coefficient(i, j)) for j in obj.right_indices]
             for i in obj.left_indices
@@ -128,9 +132,9 @@ def _values_grid(doc):
 def _int_list(doc, field):
     value = doc[field]
     if not isinstance(value, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
+        isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in value
     ):
-        raise ParseError(f"'{field}' must be a list of integers")
+        raise ParseError(f"'{field}' must be a list of non-negative integers")
     return value
 
 
@@ -165,18 +169,8 @@ def from_json(text: str):
         _require_keys(doc, {"format_version", "kind", "values"})
         return _TABLE_KINDS[kind](_values_grid(doc))
     if kind == "rank1_system":
-        _require_keys(
-            doc,
-            {
-                "format_version",
-                "kind",
-                "left_indices",
-                "right_indices",
-                "lambda",
-                "cap",
-                "two_bands",
-            },
-        )
+        _require_keys(doc, {"format_version", "kind", "left_indices", "right_indices",
+                            "lambda", "cap", "two_bands"})
         left = _int_list(doc, "left_indices")
         right = _int_list(doc, "right_indices")
         lam_rows = doc["lambda"]

@@ -12,9 +12,10 @@ LEFT or RIGHT.  Elements of the reduction space are sparse dicts mapping
 canonical IJ-words ``(left_labels, right_labels)`` to coefficients, with
 like terms always combined.  The coefficients are ints over a power of
 one scale D per system, the LCM of the denominators of lam and of the
-stored moments, so the reduction builds a single ``Fraction``, the
-moment.  Systems are immutable once built; moment evaluations are pure and
-parallelizable.
+stored moments, and the reduction reads phi * D and lam * D from int
+tables, so it builds a single ``Fraction``, the moment.  A run of right
+letters is appended in one pass.  Systems are immutable once built;
+moment evaluations are pure and parallelizable.
 """
 
 from __future__ import annotations
@@ -66,25 +67,25 @@ class Rank1System(_ReadOnly):
     Lookups beyond the stored range raise, they never default: the recursion
     consumes moments as long as the word it reduces, so silent extrapolation
     would fabricate answers.  Attributes cannot be reassigned after
-    construction: the recursion's scale is derived from ``lam`` and
-    ``two_bands`` once, here.
+    construction: the recursion's scale D and its int tables of phi * D and
+    of the nonzero lam * D are derived from ``lam`` and ``two_bands`` once.
     """
 
-    __slots__ = ("left_indices", "right_indices", "lam", "two_bands", "cap", "_scale")
+    __slots__ = ("left_indices", "right_indices", "lam", "two_bands", "cap",
+                 "_scale", "_phi_d", "_lam_d")
 
     def __init__(self, left_indices, right_indices, lam, two_bands, cap):
         left_indices = tuple(left_indices)
         right_indices = tuple(right_indices)
-        if len(set(left_indices)) != len(left_indices) or len(set(right_indices)) != len(
-            right_indices
-        ):
+        left_set, right_set = set(left_indices), set(right_indices)
+        if len(left_set) != len(left_indices) or len(right_set) != len(right_indices):
             raise ValueError("index labels must be distinct")
         cap = _check_cap(cap)
         # the LCM of every lam and stored phi denominator
         scale = 1
         coefficients = {}
         for (i, j), v in dict(lam).items():
-            if i not in left_indices or j not in right_indices:
+            if i not in left_set or j not in right_set:
                 raise ValueError(f"lambda entry for unknown index pair ({i!r}, {j!r})")
             v = as_fraction(v)
             if v:
@@ -95,9 +96,7 @@ class Rank1System(_ReadOnly):
             il, jl = tuple(il), tuple(jl)
             if len(il) + len(jl) > cap:
                 raise ValueError(f"stored word {il + jl} exceeds cap {cap}")
-            if any(i not in left_indices for i in il) or any(
-                j not in right_indices for j in jl
-            ):
+            if not (left_set.issuperset(il) and right_set.issuperset(jl)):
                 raise ValueError(f"word {il + jl} uses undeclared indices")
             v = moments[(il, jl)] = as_fraction(v)
             scale = lcm(scale, v.denominator)
@@ -110,6 +109,8 @@ class Rank1System(_ReadOnly):
             two_bands=MappingProxyType(moments),
             cap=cap,
             _scale=scale,
+            _phi_d={w: v.numerator * (scale // v.denominator) for w, v in moments.items()},
+            _lam_d={ij: x.numerator * (scale // x.denominator) for ij, x in coefficients.items()},
         )
 
     def coefficient(self, i, j) -> Fraction:
@@ -144,35 +145,31 @@ class Rank1System(_ReadOnly):
             )
 
 
-def _apply_T(system: Rank1System, v: dict, letter) -> dict:
-    """Right multiplication by the variable ``letter`` in canonical IJ form.
+def _apply_T(system: Rank1System, v: dict, k) -> dict:
+    """Right multiplication by the left variable a_k in canonical IJ form.
 
-    A right letter appends to the right block.  A left letter moves to the
-    end of the left block, and each right letter it crosses contributes a
-    correction -phi(prefix) * lam * (shorter word) from the commutation
-    relation.
+    The letter moves to the end of the left block, and each right letter it
+    crosses contributes a correction -phi(prefix) * lam * (shorter word) from
+    the commutation relation.
 
-    Coefficients are ints over a power of the system's scale D: a left
-    letter multiplies every carried term by D^2, and a correction is
+    Coefficients are ints over a power of the system's scale D: the letter
+    multiplies every carried term by D^2, and a correction is
     -c (phi D) (lam D), so after L left letters a coefficient c stands
     for c / D^(2L).
     """
-    side, k = letter
-    if side == RIGHT:
-        return {(il, jl + (k,)): c for (il, jl), c in v.items()}
-    d = system._scale
-    dd = d * d
-    lam = system.lam
+    dd = system._scale ** 2
+    phis, lams = system._phi_d, system._lam_d
     out: dict = {}
     for (il, jl), c in v.items():
         out[(il + (k,), jl)] = c * dd
         for t, j in enumerate(jl):
-            x = lam.get((k, j))
+            x = lams.get((k, j))
             if x:
-                phi = system.phi(il, jl[:t])
+                phi = phis.get((il, jl[:t]))
+                if phi is None:
+                    system.phi(il, jl[:t])  # not stored: raises CapExceeded
                 if phi:
-                    phi_d = phi.numerator * (d // phi.denominator)
-                    _bump(out, ((), jl[t + 1 :]), -c * phi_d * x.numerator * (d // x.denominator))
+                    _bump(out, ((), jl[t + 1 :]), -c * phi * x)
     return {w: c for w, c in out.items() if c}
 
 
@@ -186,8 +183,9 @@ def mixed_moment(system: Rank1System, word) -> Fraction:
     """
     # Every coefficient is an int over D^(2L) after L left letters (see
     # _apply_T), and phi D is an int, so the moment is one Fraction over
-    # D^(2L+1).
-    lefts = 0
+    # D^(2L+1).  A right letter only appends its label to every right
+    # block, so a run is appended once, before a left letter or in the evaluation.
+    lefts, run = 0, ()
     v = {((), ()): 1}
     for letter in word:
         if not isinstance(letter, tuple) or len(letter) != 2:
@@ -198,14 +196,20 @@ def mixed_moment(system: Rank1System, word) -> Fraction:
         labels = system.left_indices if side == LEFT else system.right_indices
         if k not in labels or type(k) is not type(labels[labels.index(k)]):
             raise ValueError(f"letter {letter!r} uses an undeclared index")
-        lefts += side == LEFT
-        v = _apply_T(system, v, letter)
-    d = system._scale
+        if side == RIGHT:
+            run += (k,)
+        else:
+            v = _apply_T(system, {(il, jl + run): c for (il, jl), c in v.items()} if run else v, k)
+            lefts, run = lefts + 1, ()
+    phis = system._phi_d
     total = 0
     for (il, jl), c in v.items():
-        phi = system.phi(il, jl)
-        total += c * phi.numerator * (d // phi.denominator)
-    return Fraction(total, d ** (2 * lefts + 1))
+        jl += run
+        phi = phis.get((il, jl))
+        if phi is None:
+            system.phi(il, jl)  # not stored: raises CapExceeded
+        total += c * phi
+    return Fraction(total, system._scale ** (2 * lefts + 1))
 
 
 def biconvolve_rank1(s1: Rank1System, s2: Rank1System) -> Rank1System:
@@ -221,10 +225,7 @@ def biconvolve_rank1(s1: Rank1System, s2: Rank1System) -> Rank1System:
     """
     s1._require_single_pair()
     s2._require_single_pair()
-    if (
-        s1.left_indices != s2.left_indices
-        or s1.right_indices != s2.right_indices
-    ):
+    if s1.left_indices != s2.left_indices or s1.right_indices != s2.right_indices:
         raise UnsupportedIndexSets("systems must declare the same index labels")
     if s1.cap != s2.cap:
         raise ValueError(f"caps differ: {s1.cap} vs {s2.cap}")

@@ -46,6 +46,8 @@ SUBSTITUTE_TESTS = (
 FRAMED_TEST = "tests/test_partial_r.py::test_integer_pipeline_matches_framed_route"
 BURMANN_TEST = "tests/test_series.py::test_burmann_rows_match_lagrange_power_rows"
 SUM_TEST = "tests/test_partial_r.py::test_biconvolve_is_the_sum_of_cumulant_tables"
+RECURSION_TEST = "tests/test_rank1.py::test_int_recursion_matches_fraction_route"
+ZERO_TEST = "tests/test_rank1.py::test_stored_zero_moments_skip_the_phi_fallback"
 
 # (name, file, exact old text, new text, pytest targets)
 MUTANTS = [
@@ -118,6 +120,52 @@ MUTANTS = [
      "[[x + y for x, y in zip(u, v)] for u, v in zip(r1, r2)]\n"
      "    return _inverse(*_reduced(total, d1), *t1.box)",
      (SUM_TEST,)),
+    # the rank-1 recursion on ints over powers of one scale D: a left letter
+    # carries D^2, a correction (phi D)(lam D), and the moment is over D^(2L+1)
+    ("rank1-left-letter-carries-d", RANK1,
+     "dd = system._scale ** 2",
+     "dd = system._scale",
+     (RECURSION_TEST,)),
+    ("rank1-lam-unscaled", RANK1,
+     "_lam_d={ij: x.numerator * (scale // x.denominator)",
+     "_lam_d={ij: x.numerator",
+     (RECURSION_TEST,)),
+    ("rank1-phi-numerators-only", RANK1,
+     "_phi_d={w: v.numerator * (scale // v.denominator)",
+     "_phi_d={w: v.numerator",
+     (RECURSION_TEST,)),
+    ("rank1-result-power", RANK1,
+     "system._scale ** (2 * lefts + 1)",
+     "system._scale ** (2 * lefts)",
+     (RECURSION_TEST,)),
+    # a run of right letters is appended once, before the next left letter
+    # or in the evaluation
+    ("rank1-final-run-dropped", RANK1,
+     "        jl += run\n",
+     "",
+     (RECURSION_TEST,)),
+    ("rank1-final-run-reversed", RANK1,
+     "        jl += run\n",
+     "        jl += run[::-1]\n",
+     (RECURSION_TEST,)),
+    ("rank1-run-before-left-reversed", RANK1,
+     "{(il, jl + run): c for (il, jl), c in v.items()}",
+     "{(il, jl + run[::-1]): c for (il, jl), c in v.items()}",
+     (RECURSION_TEST,)),
+    # a word the system does not store raises; a stored zero is read from the
+    # int table, not through Rank1System.phi
+    ("rank1-correction-miss-is-zero", RANK1,
+     "phi = phis.get((il, jl[:t]))",
+     "phi = phis.get((il, jl[:t]), 0)",
+     (RECURSION_TEST,)),
+    ("rank1-evaluation-miss-is-zero", RANK1,
+     "phi = phis.get((il, jl))",
+     "phi = phis.get((il, jl), 0)",
+     (RECURSION_TEST,)),
+    ("rank1-zero-takes-fallback", RANK1,
+     "phi = phis.get((il, jl))\n        if phi is None:",
+     "phi = phis.get((il, jl))\n        if not phi:",
+     (ZERO_TEST,)),
     # one box for the rank-1 convolution still refuses a gap below a stored word
     ("rank1-no-gap-check", RANK1,
      "[[s.phi((i,) * u, (j,) * v) if v <= r else 0",

@@ -145,6 +145,31 @@ def test_rank1_roundtrip():
     assert to_json(again) == text
 
 
+def test_rank1_labels_that_no_word_names_are_refused():
+    # a word names a label in decimal digits, so only a non-negative int
+    # reads back: to_json names the first other label instead of writing a
+    # document that from_json refuses
+    cases = [((-1,), (0,)), ((0,), ("x",)), ((True,), (0,)), ((0, 1), (2, -3)), ((0,), (0.0,))]
+    for left, right in cases:
+        system = Rank1System(left, right, {}, {((), ()): 1}, 1)
+        bad = next(k for k in left + right if type(k) is not int or k < 0)
+        with pytest.raises(ValueError, match=f"label {bad!r} is not a non-negative int"):
+            to_json(system)
+    assert from_json(to_json(Rank1System((0, 7), (3,), {}, {((), ()): 1}, 1))).left_indices == (0, 7)
+
+
+def test_negative_rank1_labels_rejected(tmp_path, capsys):
+    doc = json.loads(to_json(extract_system(shift_pair_rep(3, [[1, 0], [0, 1]]), cap=2)))
+    path = tmp_path / "system.json"
+    for field in ("left_indices", "right_indices"):
+        bad = dict(doc, **{field: [0, -1]})
+        with pytest.raises(ParseError, match=f"'{field}' must be a list of non-negative integers"):
+            from_json(json.dumps(bad))
+        path.write_text(json.dumps(bad))
+        assert main(["moment", str(path), "--word", "a0"]) == 2
+        assert "non-negative integers" in capsys.readouterr().err
+
+
 def test_unknown_fields_rejected():
     doc = json.loads(to_json(TwoBandsTable([[1, 0], [0, 0]])))
     doc["extra"] = 1

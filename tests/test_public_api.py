@@ -126,3 +126,19 @@ def test_partial_r_stays_on_integer_grids():
     named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
     between = {"PartialRTable", "compute_partial_r", "partial_r_to_moments", "Fraction"}
     assert not named & between, named & between
+
+
+def test_the_rank1_recursion_stays_on_ints():
+    # mixed_moment and _apply_T read phi * D and lam * D from the system's
+    # int tables, so neither takes a Fraction apart, and the moment is the
+    # one Fraction that mixed_moment builds
+    tree = ast.parse((ROOT / "src" / "bifree" / "rank1.py").read_text(encoding="utf-8"))
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in ("_apply_T", "mixed_moment")}
+    assert set(bodies) == {"_apply_T", "mixed_moment"}
+    for name, body in bodies.items():
+        attrs = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+        assert not attrs & {"numerator", "denominator"}, name
+    calls = [node for node in ast.walk(bodies["mixed_moment"])
+             if isinstance(node, ast.Call) and _dotted(node.func) == "Fraction"]
+    assert len(calls) == 1

@@ -69,16 +69,18 @@ def demo_system():
 def test_apply_T_examples():
     s = demo_system()  # integer data, so the scale D is 1
     empty = {((), ()): 1}
-    assert _apply_T(s, empty, a()) == {((0,), ()): 1}
-    assert _apply_T(s, {((0,), ()): 1}, b()) == {((0,), (0,)): 1}
+    assert _apply_T(s, empty, 0) == {((0,), ()): 1}
+    # a right letter only appends its label; mixed_moment does that itself,
+    # once per run of right letters
+    assert mixed_moment(s, [a(), b(), b()]) == s.phi((0,), (0, 0))
     # a left letter crosses one right letter: correction -phi(a) * lam
-    out = _apply_T(s, {((0,), (0,)): 1}, a())
+    out = _apply_T(s, {((0,), (0,)): 1}, 0)
     phi_a = s.phi((0,), ())
     assert out == {((0, 0), (0,)): 1, ((), ()): -phi_a * 2}
     # lam = 1/2 and phi(a) = 1/3 give D = 6: the left letter carries the
     # term by D^2 and the correction is -(phi D)(lam D) = -2 * 3
     r = rank1_from_table(TwoBandsTable([[1, 1], [F(1, 3), 1]]), F(1, 2))
-    assert _apply_T(r, {((0,), (0,)): 1}, a()) == {((0, 0), (0,)): 36, ((), ()): -6}
+    assert _apply_T(r, {((0,), (0,)): 1}, 0) == {((0, 0), (0,)): 36, ((), ()): -6}
     assert mixed_moment(r, [b(), a()]) == r.phi((0,), (0,)) - F(1, 2)
 
 
@@ -199,7 +201,10 @@ def test_int_recursion_matches_fraction_route():
     # recursion must give the same value, or raise the same CapExceeded, on
     # every word up to one letter past the cap.  The denominators {1, 2, 3, 5}
     # are split between lam and the stored moments, some of both are zero,
-    # and some systems miss stored moments inside their cap.
+    # and some systems miss stored moments inside their cap.  Right letters
+    # are appended once per run, so the gappy systems must see words that
+    # end in a run of right letters, and words of right letters only, both
+    # evaluated and refused.
     rng = random.Random(43)
 
     def outcome(evaluate, system, word):
@@ -238,6 +243,9 @@ def test_int_recursion_matches_fraction_route():
     seen = set()
     for system in systems:
         letters = [a(i) for i in system.left_indices] + [b(j) for j in system.right_indices]
+        stored = sum(len(system.left_indices) ** p * len(system.right_indices) ** q
+                     for p in range(system.cap + 1) for q in range(system.cap + 1 - p))
+        gappy = len(system.two_bands) < stored
         for length in range(system.cap + 2):
             for word in iproduct(letters, repeat=length):
                 got = outcome(mixed_moment, system, word)
@@ -246,13 +254,37 @@ def test_int_recursion_matches_fraction_route():
                     seen.add("past the cap" if length > system.cap else "missing moment")
                 else:
                     seen.add("zero" if got == 0 else "rational" if got.denominator > 1 else "int")
+                if gappy and length > 1 and word[-1][0] == word[-2][0] == RIGHT:
+                    tail = "all right" if all(x[0] == RIGHT for x in word) else "right run"
+                    seen.add(f"{tail}, {'refused' if isinstance(got, str) else 'value'}")
         if any(v == 0 for v in system.two_bands.values()):
             seen.add("zero phi")
         if len(system.lam) < len(system.left_indices) * len(system.right_indices):
             seen.add("zero lam")
     assert seen == {
-        "past the cap", "missing moment", "zero", "rational", "int", "zero phi", "zero lam"
+        "past the cap", "missing moment", "zero", "rational", "int", "zero phi", "zero lam",
+        "right run, value", "right run, refused", "all right, value", "all right, refused",
     }
+
+
+def test_stored_zero_moments_skip_the_phi_fallback(monkeypatch):
+    # Shift models store many zero moments (odd words vanish).  The recursion
+    # reads a stored zero from its int table like any other moment and calls
+    # Rank1System.phi only on a word that is not stored, to raise CapExceeded.
+    system = extract_system(shift_pair_rep(4, ((1, 2), (3, 1))), 5)
+    assert 0 in system.two_bands.values()
+    words = [w for n in range(6) for w in iproduct([a(), b()], repeat=n)]
+    expected = [fraction_mixed_moment(system, w) for w in words]
+    calls = []
+    phi = Rank1System.phi
+    monkeypatch.setattr(
+        Rank1System, "phi", lambda s, il, jl: calls.append((il, jl)) or phi(s, il, jl)
+    )
+    assert [mixed_moment(system, w) for w in words] == expected
+    assert 0 in expected and calls == []
+    with pytest.raises(CapExceeded):
+        mixed_moment(system, [b(), a()] * 3)
+    assert len(calls) == 1
 
 
 def test_recursion_matches_naive_normalization():
