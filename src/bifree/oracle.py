@@ -18,11 +18,13 @@ A representation stores its matrices as tuples of row tuples of
 ``fractions.Fraction``; ``_inner`` and ``_matvec``, which evaluate a moment on
 the factor's own space, skip zero entries, which the sparse shift and Fock
 models are full of.  The model tables scale each band's operators to ints
-once, over the LCM D of their denominators (``_integral``), and run the lift
-kernel ``_lift`` on ints; a vector after p steps is then exact over D^p, and
-each table entry is one ``Fraction`` at the end.  ``apply_left`` and
-``apply_right`` run the same kernel on the Fractions they are given, and
-:func:`bifree.rank1.extract_system` scales its operators the same way.
+once, over the LCM D of their denominators (``_integral``); a vector after
+p steps is then exact over D^p, and each table entry is one ``Fraction`` at
+the end.  A sum table runs the lift kernel ``_lift`` on the product space.
+A factor's own table, and :func:`bifree.rank1.extract_system`, build dense
+int columns on the factor's own space instead (``_columns``).
+``apply_left`` and ``apply_right`` run the lift kernel on the Fractions
+they are given.
 Representations and product states are read-only after construction, so
 evaluations may run in parallel.
 """
@@ -32,6 +34,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from types import MappingProxyType
 
 from .partial_r import TwoBandsTable
@@ -336,13 +339,45 @@ def gaussian_pair_rep(h_left, hs_left, h_right, hs_right, fock_cutoff: int) -> T
 def two_bands_table(rep: TwoFacedPairRep, box) -> TwoBandsTable:
     """Moments phi(a^m b^n) of the pair labelled 0 on the factor's own space.
 
-    This is the free product of the one factor: its words alternate
-    factors, so none is longer than one letter and the product space is
-    the factor's own.
+    Entry (p, q) pairs the row e0^T a^p, the column of the transposed left
+    operator, with the column b^q e0, both dense int columns over the LCM of
+    their operator's denominators, D_L and D_R, so the pairing is exact over
+    D_L^p D_R^q.  This equals the sum table of the one-factor free product,
+    whose words are never longer than one letter.
     """
     m, n = box
     check_orders(m, n)
-    return sum_two_bands_table(ProductState([rep], m + n), box)
+    if not isinstance(rep, TwoFacedPairRep):
+        raise TypeError(f"factors must be TwoFacedPairReps, got {type(rep).__name__}")
+    left, dl = _integral({0: tuple(zip(*rep.operator(LEFT, 0)))})
+    right, dr = _integral({0: rep.operator(RIGHT, 0)})
+    # one label: the words (0,) * p come out in order of length
+    rows = list(_columns(left, (0,), rep.dim, m).values())
+    cols = list(_columns(right, (0,), rep.dim, n).values())
+    return TwoBandsTable(
+        [Fraction(sum(map(mul, row, col)), dl**p * dr**q) for q, col in enumerate(cols)]
+        for p, row in enumerate(rows)
+    )
+
+
+def _columns(ops, labels, dim: int, length: int) -> dict:
+    """{(j1, .., jq): ops[j1] .. ops[jq] e0} for every word over ``labels``
+    with q <= length, each built from its suffix one operator at a time.
+
+    Rows come out too: e0^T a_{i1} .. a_{ip} is the column of the
+    transposed operators on the reversed word (i_p, .., i_1).  The
+    operators are int matrices, so the columns are int tuples.
+    """
+    frontier = {(): (1,) + (0,) * (dim - 1)}
+    cols = dict(frontier)
+    for _ in range(length):
+        frontier = {
+            (j,) + word: tuple(sum(map(mul, row, vec)) for row in ops[j])
+            for word, vec in frontier.items()
+            for j in labels
+        }
+        cols.update(frontier)
+    return cols
 
 
 def sum_two_bands_table(product: ProductState, box) -> TwoBandsTable:

@@ -13,9 +13,12 @@ canonical IJ-words ``(left_labels, right_labels)`` to coefficients, with
 like terms always combined.  The coefficients are ints over a power of
 one scale D per system, the LCM of the denominators of lam and of the
 stored moments, and the reduction reads phi * D and lam * D from int
-tables, so it builds a single ``Fraction``, the moment.  A run of right
-letters is appended in one pass.  Systems are immutable once built;
-moment evaluations are pure and parallelizable.
+tables, so it builds a single ``Fraction``, the moment.  The constructor
+derives D and the tables from the values it checks; :func:`extract_system`
+derives them from the int moments it computes and hands them over.  A
+letter is checked with one lookup in the system's table of declared
+letters, and a run of right letters is appended in one pass.  Systems are
+immutable once built; moment evaluations are pure and parallelizable.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from math import lcm
 from operator import mul
 from types import MappingProxyType
 
-from .oracle import LEFT, RIGHT, TwoFacedPairRep, _bump, _integral, _ReadOnly
+from .oracle import LEFT, RIGHT, TwoFacedPairRep, _bump, _columns, _integral, _ReadOnly
 from .partial_r import TwoBandsTable, biconvolve
 from .series import as_fraction, check_orders
 
@@ -67,12 +70,13 @@ class Rank1System(_ReadOnly):
     Lookups beyond the stored range raise, they never default: the recursion
     consumes moments as long as the word it reduces, so silent extrapolation
     would fabricate answers.  Attributes cannot be reassigned after
-    construction: the recursion's scale D and its int tables of phi * D and
-    of the nonzero lam * D are derived from ``lam`` and ``two_bands`` once.
+    construction: the recursion's scale D, its int tables of phi * D and of
+    the nonzero lam * D, and its table of declared letters are derived from
+    ``lam`` and ``two_bands`` once.
     """
 
     __slots__ = ("left_indices", "right_indices", "lam", "two_bands", "cap",
-                 "_scale", "_phi_d", "_lam_d")
+                 "_scale", "_phi_d", "_lam_d", "_letters")
 
     def __init__(self, left_indices, right_indices, lam, two_bands, cap):
         left_indices = tuple(left_indices)
@@ -102,13 +106,8 @@ class Rank1System(_ReadOnly):
             scale = lcm(scale, v.denominator)
         if moments.get(((), ())) != 1:
             raise ValueError("two_bands must contain the empty word with value 1")
-        self._set(
-            left_indices=left_indices,
-            right_indices=right_indices,
-            lam=MappingProxyType(coefficients),
-            two_bands=MappingProxyType(moments),
-            cap=cap,
-            _scale=scale,
+        _fill(
+            self, left_indices, right_indices, coefficients, moments, cap, scale,
             _phi_d={w: v.numerator * (scale // v.denominator) for w, v in moments.items()},
             _lam_d={ij: x.numerator * (scale // x.denominator) for ij, x in coefficients.items()},
         )
@@ -143,6 +142,27 @@ class Rank1System(_ReadOnly):
             raise UnsupportedIndexSets(
                 "this operation needs exactly one left and one right variable"
             )
+
+
+def _fill(system, left_indices, right_indices, lam, two_bands, cap, scale, _phi_d, _lam_d):
+    """Set every slot of ``system`` from checked fields and int tables over
+    the scale D; the public constructor and :func:`extract_system` both end
+    here.  The letter table maps each declared (side, label) letter to
+    (is it a left letter, the label's type)."""
+    letters = {(LEFT, i): (True, type(i)) for i in left_indices}
+    letters.update({(RIGHT, j): (False, type(j)) for j in right_indices})
+    system._set(
+        left_indices=left_indices,
+        right_indices=right_indices,
+        lam=MappingProxyType(lam),
+        two_bands=MappingProxyType(two_bands),
+        cap=cap,
+        _scale=scale,
+        _phi_d=_phi_d,
+        _lam_d=_lam_d,
+        _letters=letters,
+    )
+    return system
 
 
 def _apply_T(system: Rank1System, v: dict, k) -> dict:
@@ -185,22 +205,23 @@ def mixed_moment(system: Rank1System, word) -> Fraction:
     # _apply_T), and phi D is an int, so the moment is one Fraction over
     # D^(2L+1).  A right letter only appends its label to every right
     # block, so a run is appended once, before a left letter or in the evaluation.
+    letters = system._letters
     lefts, run = 0, ()
     v = {((), ()): 1}
     for letter in word:
-        if not isinstance(letter, tuple) or len(letter) != 2:
-            raise ValueError(f"letter {letter!r} is not a (side, label) pair")
-        side, k = letter
-        if side not in (LEFT, RIGHT):
-            raise ValueError(f"letter {letter!r} has side {side!r}, not LEFT or RIGHT")
-        labels = system.left_indices if side == LEFT else system.right_indices
-        if k not in labels or type(k) is not type(labels[labels.index(k)]):
-            raise ValueError(f"letter {letter!r} uses an undeclared index")
-        if side == RIGHT:
-            run += (k,)
-        else:
-            v = _apply_T(system, {(il, jl + run): c for (il, jl), c in v.items()} if run else v, k)
+        try:
+            left, kind = letters[letter]
+        except (KeyError, TypeError):  # undeclared, or unhashable
+            kind = None
+        if kind is None or type(letter[1]) is not kind:
+            left = _check_letter(system, letter)
+        if left:
+            v = _apply_T(
+                system, {(il, jl + run): c for (il, jl), c in v.items()} if run else v, letter[1]
+            )
             lefts, run = lefts + 1, ()
+        else:
+            run += (letter[1],)
     phis = system._phi_d
     total = 0
     for (il, jl), c in v.items():
@@ -210,6 +231,21 @@ def mixed_moment(system: Rank1System, word) -> Fraction:
             system.phi(il, jl)  # not stored: raises CapExceeded
         total += c * phi
     return Fraction(total, system._scale ** (2 * lefts + 1))
+
+
+def _check_letter(system: Rank1System, letter) -> bool:
+    """The full checks of a letter the system's letter table does not hold:
+    raise ValueError naming what is wrong, else tell whether it is a left
+    letter."""
+    if not isinstance(letter, tuple) or len(letter) != 2:
+        raise ValueError(f"letter {letter!r} is not a (side, label) pair")
+    side, k = letter
+    if side not in (LEFT, RIGHT):
+        raise ValueError(f"letter {letter!r} has side {side!r}, not LEFT or RIGHT")
+    labels = system.left_indices if side == LEFT else system.right_indices
+    if k not in labels or type(k) is not type(labels[labels.index(k)]):
+        raise ValueError(f"letter {letter!r} uses an undeclared index")
+    return side == LEFT
 
 
 def biconvolve_rank1(s1: Rank1System, s2: Rank1System) -> Rank1System:
@@ -244,26 +280,6 @@ def biconvolve_rank1(s1: Rank1System, s2: Rank1System) -> Rank1System:
     return Rank1System((i,), (j,), lam, two_bands, s1.cap)
 
 
-def _columns(ops, labels, dim: int, length: int) -> dict:
-    """{(j1, .., jq): ops[j1] .. ops[jq] e0} for every word over ``labels``
-    with q <= length, each built from its suffix one operator at a time.
-
-    Rows come out too: e0^T a_{i1} .. a_{ip} is the column of the
-    transposed operators on the reversed word (i_p, .., i_1).  The
-    operators are int matrices, so the columns are int tuples.
-    """
-    frontier = {(): (1,) + (0,) * (dim - 1)}
-    cols = dict(frontier)
-    for _ in range(length):
-        frontier = {
-            (j,) + word: tuple(sum(map(mul, row, vec)) for row in ops[j])
-            for word, vec in frontier.items()
-            for j in labels
-        }
-        cols.update(frontier)
-    return cols
-
-
 def _commutator_column(a_cols, b_cols, c: int) -> list:
     """Column c of [a, b], that is a (b e_c) - b (a e_c), from the int
     columns of a and b, skipping zero entries."""
@@ -291,6 +307,7 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
     The left operators are scaled to ints over the LCM D_L of their
     denominators and the right ones over D_R, so a commutator entry is exact
     over D_L D_R and phi(a_{i1}..a_{ip} b_{j1}..b_{jq}) over D_L^p D_R^q.
+    The system's scale D and its int tables are derived from these ints.
     """
     _check_cap(cap)
     dim = rep.dim
@@ -312,7 +329,7 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
                         f"on reliable column {c}"
                     )
             if first[0]:
-                lam[(i, j)] = Fraction(first[0], dl * dr)
+                lam[(i, j)] = first[0]
 
     left_labels = tuple(sorted(rep.left_ops))
     right_labels = tuple(sorted(rep.right_ops))
@@ -322,12 +339,28 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
     cols = _columns(right, right_labels, dim, cap)
     rows = _columns(left_t, left_labels, dim, cap)
 
-    two_bands = {}
+    # A moment of degree (p, q) is an int x over den = D_L^p D_R^q.  D is the
+    # LCM of the reduced denominators (its Fraction's) and of lam's, so
+    # phi D is the exact quotient x D / den, though den need not divide D.
+    two_bands, xs = {}, []
+    scale = 1
     for p in range(cap + 1):
         for iw in product(left_labels, repeat=p):
             row = rows[iw[::-1]]
             for q in range(cap + 1 - p):
                 den = dl**p * dr**q
                 for jw in product(right_labels, repeat=q):
-                    two_bands[(iw, jw)] = Fraction(sum(map(mul, row, cols[jw])), den)
-    return Rank1System(left_labels, right_labels, lam, two_bands, cap)
+                    x = sum(map(mul, row, cols[jw]))
+                    v = two_bands[(iw, jw)] = Fraction(x, den)
+                    scale = lcm(scale, v.denominator)
+                    xs.append((x, den))
+    dd = dl * dr
+    coefficients = {ij: Fraction(x, dd) for ij, x in lam.items()}
+    for v in coefficients.values():
+        scale = lcm(scale, v.denominator)
+    return _fill(
+        Rank1System.__new__(Rank1System), left_labels, right_labels, coefficients,
+        two_bands, cap, scale,
+        _phi_d={w: x * scale // den for w, (x, den) in zip(two_bands, xs)},
+        _lam_d={ij: x * scale // dd for ij, x in lam.items()},
+    )

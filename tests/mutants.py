@@ -15,6 +15,11 @@ pytest exits nonzero.  The script exits 1 if any mutant survives, or if an
 old text does not occur exactly once in its file: a refactor that moves the
 mutated code must update this list, not drop a mutant unseen.
 
+Before any mutant, the union of the chosen mutants' targets runs once the
+same way on an unmutated copy, and the script exits 1 without trying a
+mutant if that run fails: a target that already fails would make every
+mutant aimed at it read as killed.
+
 Stdlib only.  pytest does not collect this file, whose name does not start
 with ``test_``.
 """
@@ -33,6 +38,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SERIES = "src/bifree/series.py"
 PARTIAL_R = "src/bifree/partial_r.py"
 RANK1 = "src/bifree/rank1.py"
+ORACLE = "src/bifree/oracle.py"
+TRANSFORMS = "src/bifree/transforms.py"
 
 RECIPROCAL_TESTS = (
     "tests/test_series.py::test_reciprocal_matches_fraction_loop",
@@ -48,6 +55,10 @@ BURMANN_TEST = "tests/test_series.py::test_burmann_rows_match_lagrange_power_row
 SUM_TEST = "tests/test_partial_r.py::test_biconvolve_is_the_sum_of_cumulant_tables"
 RECURSION_TEST = "tests/test_rank1.py::test_int_recursion_matches_fraction_route"
 ZERO_TEST = "tests/test_rank1.py::test_stored_zero_moments_skip_the_phi_fallback"
+LAGRANGE_TEST = "tests/test_series.py::test_lagrange_solves_its_fixed_point"
+INT_TABLES_TEST = "tests/test_oracle.py::test_int_tables_match_fraction_route"
+EXTRACTION_TEST = "tests/test_rank1.py::test_int_extraction_matches_fraction_route"
+LETTERS_TEST = "tests/test_rank1.py::test_mixed_moment_rejects_malformed_letters"
 
 # (name, file, exact old text, new text, pytest targets)
 MUTANTS = [
@@ -171,25 +182,86 @@ MUTANTS = [
      "[[s.phi((i,) * u, (j,) * v) if v <= r else 0",
      "[[s.two_bands.get(((i,) * u, (j,) * v), 0) if v <= r else 0",
      ("tests/test_rank1.py::test_biconvolve_rank1_refusals_keep_their_messages",)),
+    # the tower: [t^k] u = [z^k] phi^(k+1) / (k+1), the sum of two marginals
+    # is pa + pb - 1, and p = 1/u
+    ("lagrange-divisor-k", SERIES,
+     "out.append(power.coeffs[k] / (k + 1))",
+     "out.append(power.coeffs[k] / k)",
+     (LAGRANGE_TEST,)),
+    ("free-convolve-without-minus-one", TRANSFORMS,
+     "_marginal(b[: n + 1])[1] - 1)",
+     "_marginal(b[: n + 1])[1])",
+     ("tests/test_transforms.py::test_convolution_of_point_masses",)),
+    ("subordination-without-minus-one", TRANSFORMS,
+     "g = _lagrange(pa + pb - 1)",
+     "g = _lagrange(pa + pb)",
+     ("tests/test_transforms.py::test_subordination_of_point_masses",)),
+    ("marginal-p-is-u", TRANSFORMS,
+     "return u.shift_up(), u.reciprocal()",
+     "return u.shift_up(), u",
+     ("tests/test_transforms.py::test_point_mass_cumulants",)),
+    # the oracle: entry (p, q) of a table, and an extracted moment, is exact
+    # over D_L^p D_R^q, with one D_L for every factor of the left band
+    ("sum-table-den-dl-only", ORACLE,
+     "Fraction(_pair(row, col), dl**p * dr**q)",
+     "Fraction(_pair(row, col), dl**(p + q))",
+     (INT_TABLES_TEST,)),
+    ("own-table-den-dl-only", ORACLE,
+     "Fraction(sum(map(mul, row, col)), dl**p * dr**q)",
+     "Fraction(sum(map(mul, row, col)), dl**(p + q))",
+     (INT_TABLES_TEST,)),
+    ("extract-den-dl-only", RANK1,
+     "den = dl**p * dr**q",
+     "den = dl**(p + q)",
+     (EXTRACTION_TEST,)),
+    ("left-band-per-factor-d", ORACLE,
+     "left, dl = _integral({k: f.operator(LEFT, 0) for k, f in enumerate(product.factors)})",
+     "left = {k: _integral({k: f.operator(LEFT, 0)})[0][k]"
+     " for k, f in enumerate(product.factors)}\n"
+     "    dl = _integral({k: f.operator(LEFT, 0) for k, f in enumerate(product.factors)})[1]",
+     (INT_TABLES_TEST,)),
+    # extract_system hands its ints to the system: D is the LCM of the reduced
+    # denominators, and phi D = x D / den, which den need not divide
+    ("extract-phi-floor-of-scale-quotient", RANK1,
+     "_phi_d={w: x * scale // den for",
+     "_phi_d={w: x * (scale // den) for",
+     (EXTRACTION_TEST,)),
+    ("extract-scale-from-unreduced", RANK1,
+     "scale = lcm(scale, v.denominator)\n                    xs.append",
+     "scale = lcm(scale, den)\n                    xs.append",
+     (EXTRACTION_TEST,)),
+    # a letter found in the letter table must also carry its label's type
+    ("letter-lookup-without-type", RANK1,
+     "if kind is None or type(letter[1]) is not kind:",
+     "if kind is None:",
+     (LETTERS_TEST,)),
 ]
 
 
-def check(name, path, old, new, targets) -> str | None:
-    """None if the mutant is killed, else why it is not."""
-    source = (ROOT / path).read_text(encoding="utf-8")
-    count = source.count(old)
-    if count != 1:
-        return f"old text occurs {count} times in {path}"
-    with tempfile.TemporaryDirectory(prefix=f"bifree-mutant-{name}-") as tmp:
+def run_targets(targets, edit=None):
+    """pytest on copies of src/ and tests/, with ``edit`` = (path, old, new)
+    applied to the copy first; returns the completed process."""
+    with tempfile.TemporaryDirectory(prefix="bifree-mutant-") as tmp:
         work = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis"))
-        (work / path).write_text(source.replace(old, new), encoding="utf-8")
+        if edit is not None:
+            path, old, new = edit
+            (work / path).write_text((ROOT / path).read_text(encoding="utf-8").replace(old, new),
+                                     encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
         cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                "--hypothesis-seed=0", *targets]
-        done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
+        return subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
+
+
+def check(name, path, old, new, targets) -> str | None:
+    """None if the mutant is killed, else why it is not."""
+    count = (ROOT / path).read_text(encoding="utf-8").count(old)
+    if count != 1:
+        return f"old text occurs {count} times in {path}"
+    done = run_targets(targets, (path, old, new))
     if done.returncode == 0:
         return "survived: every target passed"
     if done.returncode != 1:
@@ -205,6 +277,16 @@ def main(argv) -> int:
         print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
         return 2
     chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+    targets = list(dict.fromkeys(t for m in chosen for t in m[4]))
+    start = time.perf_counter()
+    done = run_targets(targets)
+    took = time.perf_counter() - start
+    if done.returncode != 0:
+        print(f"FAILED unmutated run of {len(targets)} targets ({took:.1f} s), "
+              f"pytest exited {done.returncode}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}",
+              flush=True)
+        return 1
+    print(f"passed unmutated run of {len(targets)} targets ({took:.1f} s)", flush=True)
     failures = 0
     for name, path, old, new, targets in chosen:
         start = time.perf_counter()

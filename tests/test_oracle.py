@@ -357,6 +357,28 @@ def test_two_bands_table_matches_moment():
                 assert table.values[i][j] == rep.moment(word)
 
 
+def test_two_bands_table_refusals_keep_their_messages():
+    # a factor's table is read on its own space, with the refusals of the
+    # one-factor free product it stands for, in the same order
+    rep = shift_pair_rep(3, ((1, 2), (3, 1)))
+    bad_order = "truncation orders must be >= 0 and of type int"
+    for box in ((-1, 2), (2, -1), (True, 1), (1, 2.0)):
+        with pytest.raises(NegativeOrder, match=bad_order):
+            two_bands_table(rep, box)
+        with pytest.raises(NegativeOrder, match=bad_order):
+            two_bands_table(None, box)
+    p = ProductState([rep], 4)
+    for not_a_rep in (p, None, {0: rep}):
+        with pytest.raises(TypeError, match=f"got {type(not_a_rep).__name__}$"):
+            two_bands_table(not_a_rep, (2, 2))
+    only_left = TwoFacedPairRep(2, {0: identity_matrix(2)}, {1: identity_matrix(2)})
+    only_right = TwoFacedPairRep(2, {1: identity_matrix(2)}, {0: identity_matrix(2)})
+    no_labels = TwoFacedPairRep(2, {}, {})
+    for model, side in ((only_left, RIGHT), (only_right, LEFT), (no_labels, LEFT)):
+        with pytest.raises(FactorMismatch, match=f"no {side!r} operator labelled 0"):
+            two_bands_table(model, (1, 1))
+
+
 def test_dimensions_and_cutoffs_must_be_ints():
     vectors = [[F(1), F(0)]] * 4
     for bad in (1.5, 2.5, True, "3", 0):

@@ -2,6 +2,7 @@
 
 import copy
 import random
+import re
 from fractions import Fraction as F
 from itertools import product as iproduct
 
@@ -108,23 +109,33 @@ def test_mixed_moment_rejects_unknown_index():
 
 def test_mixed_moment_rejects_malformed_letters():
     # a letter is a (side, label) tuple, and a label that equals a declared
-    # one must also have its type: 0.0 and True are not labels 0 and 1
+    # one must also have its type: 0.0 and True are not labels 0 and 1.  A
+    # declared letter is found with one lookup in the system's letter table;
+    # these checks, and their messages, run only on a miss.
     s = Rank1System((0, 1), (0, "x"), {(1, "x"): 2}, {((), ()): 1, ((1,), ("x",)): 3}, 2)
+    not_a_pair = re.escape("is not a (side, label) pair")
+    bad_side = "not LEFT or RIGHT"
+    undeclared = "uses an undeclared index"
     bad_words = [
-        [5],
-        [None],
-        [LEFT],
-        [(LEFT,)],
-        [(LEFT, 0, 1)],
-        [[LEFT, 0]],
-        [(LEFT, 0.0)],
-        [(LEFT, True)],
-        [(RIGHT, 0), (LEFT, F(1))],
-        [(RIGHT, False)],
-        [(RIGHT, "y")],
+        ([5], not_a_pair),
+        ([None], not_a_pair),
+        ([LEFT], not_a_pair),
+        ([()], not_a_pair),
+        ([(LEFT,)], not_a_pair),
+        ([(LEFT, 0, 1)], not_a_pair),
+        ([[LEFT, 0]], not_a_pair),
+        ([("left", 0)], bad_side),
+        ([(RIGHT, "x"), (None, "x")], bad_side),
+        ([(LEFT, 0.0)], undeclared),
+        ([(LEFT, True)], undeclared),
+        ([(LEFT, [0])], undeclared),
+        ([(RIGHT, 0), (LEFT, F(1))], undeclared),
+        ([(RIGHT, False)], undeclared),
+        ([(RIGHT, 0.0)], undeclared),
+        ([(RIGHT, "y")], undeclared),
     ]
-    for word in bad_words:
-        with pytest.raises(ValueError):
+    for word, message in bad_words:
+        with pytest.raises(ValueError, match=message):
             mixed_moment(s, word)
     assert mixed_moment(s, [(LEFT, 1), (RIGHT, "x")]) == 3
     assert mixed_moment(s, [(RIGHT, "x"), (LEFT, 1)]) == 3 - 2
@@ -457,6 +468,11 @@ def test_int_extraction_matches_fraction_route():
             continue
         assert (got.lam, got.two_bands, got.cap) == (want.lam, want.two_bands, want.cap)
         assert got.lam == dense_lam(rep)
+        # the int tables extract_system hands over are the constructor's own,
+        # with D the LCM of the reduced denominators, not of D_L^p D_R^q
+        s = Rank1System(got.left_indices, got.right_indices, got.lam, got.two_bands, got.cap)
+        assert (got._scale, got._phi_d, got._lam_d, got._letters) == (
+            s._scale, s._phi_d, s._lam_d, s._letters)
         seen.add("lam" if got.lam else "zero")
         if any(v.denominator > 1 for v in got.lam.values()):
             seen.add("rational lam")
@@ -473,7 +489,8 @@ def test_systems_are_immutable():
         system.lam[(0, 1)] = 99
     # attributes cannot be rebound or deleted: the recursion's scale was
     # derived from lam and two_bands at construction
-    for name, value in (("two_bands", {}), ("lam", {}), ("cap", 9), ("_scale", 1)):
+    for name, value in (("two_bands", {}), ("lam", {}), ("cap", 9), ("_scale", 1),
+                        ("_letters", {})):
         with pytest.raises(AttributeError):
             setattr(system, name, value)
         with pytest.raises(AttributeError):
