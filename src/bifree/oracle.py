@@ -38,7 +38,7 @@ from operator import mul
 from types import MappingProxyType
 
 from .partial_r import TwoBandsTable
-from .series import as_fraction, check_orders
+from .series import NegativeOrder, as_fraction, check_orders
 
 __all__ = [
     "LEFT",
@@ -79,6 +79,21 @@ def _rational_matrix(rows) -> tuple:
 def _basis_vector(dim: int) -> tuple:
     """The state vector e0 of Q^dim."""
     return (Fraction(1),) + (Fraction(0),) * (dim - 1)
+
+
+def _box_orders(box) -> tuple:
+    """The orders (m, n) of a box; NegativeOrder unless it is a pair of them."""
+    try:
+        m, n = box
+    except (TypeError, ValueError):
+        raise NegativeOrder(f"box must be a pair (m, n) of orders, got {box!r}") from None
+    check_orders(m, n)
+    return m, n
+
+
+def _require_rep(rep):
+    if not isinstance(rep, TwoFacedPairRep):
+        raise TypeError(f"factors must be TwoFacedPairReps, got {type(rep).__name__}")
 
 
 def _integral(mats) -> tuple:
@@ -191,8 +206,7 @@ class ProductState(_ReadOnly):
         if not factors:
             raise ValueError("need at least one factor")
         for f in factors:
-            if not isinstance(f, TwoFacedPairRep):
-                raise TypeError(f"factors must be TwoFacedPairReps, got {type(f).__name__}")
+            _require_rep(f)
         if type(max_word_len) is not int or max_word_len < 0:
             raise ValueError(f"max_word_len must be a nonnegative int, got {max_word_len!r}")
         self._set(factors=factors, max_word_len=max_word_len)
@@ -345,10 +359,8 @@ def two_bands_table(rep: TwoFacedPairRep, box) -> TwoBandsTable:
     D_L^p D_R^q.  This equals the sum table of the one-factor free product,
     whose words are never longer than one letter.
     """
-    m, n = box
-    check_orders(m, n)
-    if not isinstance(rep, TwoFacedPairRep):
-        raise TypeError(f"factors must be TwoFacedPairReps, got {type(rep).__name__}")
+    m, n = _box_orders(box)
+    _require_rep(rep)
     left, dl = _integral({0: tuple(zip(*rep.operator(LEFT, 0)))})
     right, dr = _integral({0: rep.operator(RIGHT, 0)})
     # one label: the words (0,) * p come out in order of length
@@ -394,8 +406,7 @@ def sum_two_bands_table(product: ProductState, box) -> TwoBandsTable:
     denominators, D_L and D_R, so entry (p, q) is the int pairing over
     D_L^p D_R^q.
     """
-    m, n = box
-    check_orders(m, n)
+    m, n = _box_orders(box)
     if m + n > product.max_word_len:
         raise TruncationUnsound(
             f"box {box} needs words of length {m + n} but max_word_len is "

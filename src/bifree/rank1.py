@@ -13,12 +13,12 @@ canonical IJ-words ``(left_labels, right_labels)`` to coefficients, with
 like terms always combined.  The coefficients are ints over a power of
 one scale D per system, the LCM of the denominators of lam and of the
 stored moments, and the reduction reads phi * D and lam * D from int
-tables, so it builds a single ``Fraction``, the moment.  The constructor
-derives D and the tables from the values it checks; :func:`extract_system`
-derives them from the int moments it computes and hands them over.  A
-letter is checked with one lookup in the system's table of declared
-letters, and a run of right letters is appended in one pass.  Systems are
-immutable once built; moment evaluations are pure and parallelizable.
+tables, so it builds a single ``Fraction``, the moment.  ``_fill`` derives
+D and the tables from the checked ``Fraction`` maps, for the constructor
+and :func:`extract_system` alike.  A letter is checked with one lookup in
+the system's table of declared letters, and a run of right letters is
+appended in one pass.  Systems are immutable once built; moment
+evaluations are pure and parallelizable.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ from math import lcm
 from operator import mul
 from types import MappingProxyType
 
-from .oracle import LEFT, RIGHT, TwoFacedPairRep, _bump, _columns, _integral, _ReadOnly
+from .oracle import LEFT, RIGHT, TwoFacedPairRep, _box_orders, _bump, _columns, _integral
+from .oracle import _ReadOnly, _require_rep
 from .partial_r import TwoBandsTable, biconvolve
-from .series import as_fraction, check_orders
+from .series import as_fraction
 
 __all__ = [
     "CapExceeded",
@@ -72,7 +73,7 @@ class Rank1System(_ReadOnly):
     would fabricate answers.  Attributes cannot be reassigned after
     construction: the recursion's scale D, its int tables of phi * D and of
     the nonzero lam * D, and its table of declared letters are derived from
-    ``lam`` and ``two_bands`` once.
+    ``lam`` and ``two_bands`` once, by ``_fill``.
     """
 
     __slots__ = ("left_indices", "right_indices", "lam", "two_bands", "cap",
@@ -85,8 +86,6 @@ class Rank1System(_ReadOnly):
         if len(left_set) != len(left_indices) or len(right_set) != len(right_indices):
             raise ValueError("index labels must be distinct")
         cap = _check_cap(cap)
-        # the LCM of every lam and stored phi denominator
-        scale = 1
         coefficients = {}
         for (i, j), v in dict(lam).items():
             if i not in left_set or j not in right_set:
@@ -94,7 +93,6 @@ class Rank1System(_ReadOnly):
             v = as_fraction(v)
             if v:
                 coefficients[(i, j)] = v
-                scale = lcm(scale, v.denominator)
         moments = {}
         for (il, jl), v in dict(two_bands).items():
             il, jl = tuple(il), tuple(jl)
@@ -102,15 +100,10 @@ class Rank1System(_ReadOnly):
                 raise ValueError(f"stored word {il + jl} exceeds cap {cap}")
             if not (left_set.issuperset(il) and right_set.issuperset(jl)):
                 raise ValueError(f"word {il + jl} uses undeclared indices")
-            v = moments[(il, jl)] = as_fraction(v)
-            scale = lcm(scale, v.denominator)
+            moments[(il, jl)] = as_fraction(v)
         if moments.get(((), ())) != 1:
             raise ValueError("two_bands must contain the empty word with value 1")
-        _fill(
-            self, left_indices, right_indices, coefficients, moments, cap, scale,
-            _phi_d={w: v.numerator * (scale // v.denominator) for w, v in moments.items()},
-            _lam_d={ij: x.numerator * (scale // x.denominator) for ij, x in coefficients.items()},
-        )
+        _fill(self, left_indices, right_indices, coefficients, moments, cap)
 
     def coefficient(self, i, j) -> Fraction:
         return self.lam.get((i, j), Fraction(0))
@@ -129,8 +122,7 @@ class Rank1System(_ReadOnly):
 
     def table(self, box) -> TwoBandsTable:
         """Rectangular two-bands table of a single-pair system."""
-        m, n = box
-        check_orders(m, n)
+        m, n = _box_orders(box)
         self._require_single_pair()
         i, j = self.left_indices[0], self.right_indices[0]
         return TwoBandsTable(
@@ -144,11 +136,14 @@ class Rank1System(_ReadOnly):
             )
 
 
-def _fill(system, left_indices, right_indices, lam, two_bands, cap, scale, _phi_d, _lam_d):
-    """Set every slot of ``system`` from checked fields and int tables over
-    the scale D; the public constructor and :func:`extract_system` both end
-    here.  The letter table maps each declared (side, label) letter to
-    (is it a left letter, the label's type)."""
+def _fill(system, left_indices, right_indices, lam, two_bands, cap):
+    """Set every slot of ``system`` from checked ``Fraction`` maps, ``lam``
+    holding the nonzero coefficients; the public constructor and
+    :func:`extract_system` both end here, so only this derives the scale D
+    (the LCM of every denominator in both maps), the int tables of phi * D
+    and lam * D, and the letter table: each declared (side, label) letter
+    maps to (is it a left letter, the label's type)."""
+    scale = lcm(*(v.denominator for v in (*lam.values(), *two_bands.values())))
     letters = {(LEFT, i): (True, type(i)) for i in left_indices}
     letters.update({(RIGHT, j): (False, type(j)) for j in right_indices})
     system._set(
@@ -158,8 +153,8 @@ def _fill(system, left_indices, right_indices, lam, two_bands, cap, scale, _phi_
         two_bands=MappingProxyType(two_bands),
         cap=cap,
         _scale=scale,
-        _phi_d=_phi_d,
-        _lam_d=_lam_d,
+        _phi_d={w: v.numerator * (scale // v.denominator) for w, v in two_bands.items()},
+        _lam_d={ij: x.numerator * (scale // x.denominator) for ij, x in lam.items()},
         _letters=letters,
     )
     return system
@@ -214,7 +209,7 @@ def mixed_moment(system: Rank1System, word) -> Fraction:
         except (KeyError, TypeError):  # undeclared, or unhashable
             kind = None
         if kind is None or type(letter[1]) is not kind:
-            left = _check_letter(system, letter)
+            _refuse_letter(letter)
         if left:
             v = _apply_T(
                 system, {(il, jl + run): c for (il, jl), c in v.items()} if run else v, letter[1]
@@ -233,19 +228,15 @@ def mixed_moment(system: Rank1System, word) -> Fraction:
     return Fraction(total, system._scale ** (2 * lefts + 1))
 
 
-def _check_letter(system: Rank1System, letter) -> bool:
-    """The full checks of a letter the system's letter table does not hold:
-    raise ValueError naming what is wrong, else tell whether it is a left
-    letter."""
+def _refuse_letter(letter):
+    """Raise the ValueError naming the fault of a letter that misses the
+    letter table or its label's type.  A pair with a valid side is then
+    undeclared: labels are distinct, so no equal label of another type is."""
     if not isinstance(letter, tuple) or len(letter) != 2:
         raise ValueError(f"letter {letter!r} is not a (side, label) pair")
-    side, k = letter
-    if side not in (LEFT, RIGHT):
-        raise ValueError(f"letter {letter!r} has side {side!r}, not LEFT or RIGHT")
-    labels = system.left_indices if side == LEFT else system.right_indices
-    if k not in labels or type(k) is not type(labels[labels.index(k)]):
-        raise ValueError(f"letter {letter!r} uses an undeclared index")
-    return side == LEFT
+    if letter[0] not in (LEFT, RIGHT):
+        raise ValueError(f"letter {letter!r} has side {letter[0]!r}, not LEFT or RIGHT")
+    raise ValueError(f"letter {letter!r} uses an undeclared index")
 
 
 def biconvolve_rank1(s1: Rank1System, s2: Rank1System) -> Rank1System:
@@ -307,9 +298,10 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
     The left operators are scaled to ints over the LCM D_L of their
     denominators and the right ones over D_R, so a commutator entry is exact
     over D_L D_R and phi(a_{i1}..a_{ip} b_{j1}..b_{jq}) over D_L^p D_R^q.
-    The system's scale D and its int tables are derived from these ints.
+    Each value is one ``Fraction``; ``_fill`` derives D and the int tables.
     """
     _check_cap(cap)
+    _require_rep(rep)
     dim = rep.dim
     left, dl = _integral(rep.left_ops)
     right, dr = _integral(rep.right_ops)
@@ -329,7 +321,7 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
                         f"on reliable column {c}"
                     )
             if first[0]:
-                lam[(i, j)] = first[0]
+                lam[(i, j)] = Fraction(first[0], dl * dr)
 
     left_labels = tuple(sorted(rep.left_ops))
     right_labels = tuple(sorted(rep.right_ops))
@@ -339,28 +331,14 @@ def extract_system(rep: TwoFacedPairRep, cap: int) -> Rank1System:
     cols = _columns(right, right_labels, dim, cap)
     rows = _columns(left_t, left_labels, dim, cap)
 
-    # A moment of degree (p, q) is an int x over den = D_L^p D_R^q.  D is the
-    # LCM of the reduced denominators (its Fraction's) and of lam's, so
-    # phi D is the exact quotient x D / den, though den need not divide D.
-    two_bands, xs = {}, []
-    scale = 1
+    two_bands = {}
     for p in range(cap + 1):
         for iw in product(left_labels, repeat=p):
             row = rows[iw[::-1]]
             for q in range(cap + 1 - p):
                 den = dl**p * dr**q
                 for jw in product(right_labels, repeat=q):
-                    x = sum(map(mul, row, cols[jw]))
-                    v = two_bands[(iw, jw)] = Fraction(x, den)
-                    scale = lcm(scale, v.denominator)
-                    xs.append((x, den))
-    dd = dl * dr
-    coefficients = {ij: Fraction(x, dd) for ij, x in lam.items()}
-    for v in coefficients.values():
-        scale = lcm(scale, v.denominator)
+                    two_bands[(iw, jw)] = Fraction(sum(map(mul, row, cols[jw])), den)
     return _fill(
-        Rank1System.__new__(Rank1System), left_labels, right_labels, coefficients,
-        two_bands, cap, scale,
-        _phi_d={w: x * scale // den for w, (x, den) in zip(two_bands, xs)},
-        _lam_d={ij: x * scale // dd for ij, x in lam.items()},
+        Rank1System.__new__(Rank1System), left_labels, right_labels, lam, two_bands, cap
     )

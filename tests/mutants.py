@@ -220,20 +220,41 @@ MUTANTS = [
      " for k, f in enumerate(product.factors)}\n"
      "    dl = _integral({k: f.operator(LEFT, 0) for k, f in enumerate(product.factors)})[1]",
      (INT_TABLES_TEST,)),
-    # extract_system hands its ints to the system: D is the LCM of the reduced
-    # denominators, and phi D = x D / den, which den need not divide
-    ("extract-phi-floor-of-scale-quotient", RANK1,
-     "_phi_d={w: x * scale // den for",
-     "_phi_d={w: x * (scale // den) for",
-     (EXTRACTION_TEST,)),
-    ("extract-scale-from-unreduced", RANK1,
-     "scale = lcm(scale, v.denominator)\n                    xs.append",
-     "scale = lcm(scale, den)\n                    xs.append",
+    # _fill alone derives D, the LCM of every lam and stored phi denominator,
+    # and extract_system's lam is exact over D_L D_R
+    ("fill-scale-without-lam", RANK1,
+     "(*lam.values(), *two_bands.values())",
+     "(*two_bands.values(),)",
+     (RECURSION_TEST,)),
+    ("fill-scale-without-moments", RANK1,
+     "(*lam.values(), *two_bands.values())",
+     "(*lam.values(),)",
+     (RECURSION_TEST,)),
+    ("extract-lam-over-dl", RANK1,
+     "Fraction(first[0], dl * dr)",
+     "Fraction(first[0], dl)",
      (EXTRACTION_TEST,)),
     # a letter found in the letter table must also carry its label's type
     ("letter-lookup-without-type", RANK1,
      "if kind is None or type(letter[1]) is not kind:",
      "if kind is None:",
+     (LETTERS_TEST,)),
+    # a box that is not a pair, and extract_system's model that is not a rep,
+    # are refused by name, not by a failed unpacking or attribute lookup
+    ("box-unpack-unguarded", ORACLE,
+     "    try:\n        m, n = box\n    except (TypeError, ValueError):\n"
+     "        raise NegativeOrder(f\"box must be a pair (m, n) of orders, got {box!r}\") from None\n",
+     "    m, n = box\n",
+     ("tests/test_oracle.py::test_boxes_must_be_pairs_of_orders",)),
+    ("extract-rep-unchecked", RANK1,
+     "    _require_rep(rep)\n",
+     "",
+     ("tests/test_oracle.py::test_two_bands_table_refusals_keep_their_messages",)),
+    # a miss with a bad side is refused as such, not as an undeclared label
+    ("refuse-letter-side-unchecked", RANK1,
+     "    if letter[0] not in (LEFT, RIGHT):\n"
+     "        raise ValueError(f\"letter {letter!r} has side {letter[0]!r}, not LEFT or RIGHT\")\n",
+     "",
      (LETTERS_TEST,)),
 ]
 

@@ -3,6 +3,7 @@
 import copy
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -25,6 +26,7 @@ from bifree.oracle import (
     two_bands_table,
 )
 from bifree.partial_r import TwoBandsTable, biconvolve
+from bifree.rank1 import extract_system
 from bifree.series import NegativeOrder
 from helpers import (
     apply_sum,
@@ -369,14 +371,32 @@ def test_two_bands_table_refusals_keep_their_messages():
             two_bands_table(None, box)
     p = ProductState([rep], 4)
     for not_a_rep in (p, None, {0: rep}):
-        with pytest.raises(TypeError, match=f"got {type(not_a_rep).__name__}$"):
+        message = f"^factors must be TwoFacedPairReps, got {type(not_a_rep).__name__}$"
+        with pytest.raises(TypeError, match=message):
             two_bands_table(not_a_rep, (2, 2))
+        # extract_system refuses a non-rep the same way, after its cap check
+        with pytest.raises(TypeError, match=message):
+            extract_system(not_a_rep, 3)
+        with pytest.raises(ValueError, match="cap must be a nonnegative int"):
+            extract_system(not_a_rep, -1)
     only_left = TwoFacedPairRep(2, {0: identity_matrix(2)}, {1: identity_matrix(2)})
     only_right = TwoFacedPairRep(2, {1: identity_matrix(2)}, {0: identity_matrix(2)})
     no_labels = TwoFacedPairRep(2, {}, {})
     for model, side in ((only_left, RIGHT), (only_right, LEFT), (no_labels, LEFT)):
         with pytest.raises(FactorMismatch, match=f"no {side!r} operator labelled 0"):
             two_bands_table(model, (1, 1))
+
+
+def test_boxes_must_be_pairs_of_orders():
+    # a box that is not a pair raises NegativeOrder naming it, not an unpacking error
+    rep = shift_pair_rep(3, ((1, 2), (3, 1)))
+    p = ProductState([rep], 4)
+    for box in (5, (1,), (1, 2, 3), None, ()):
+        message = re.escape(f"box must be a pair (m, n) of orders, got {box!r}")
+        with pytest.raises(NegativeOrder, match=message):
+            two_bands_table(rep, box)
+        with pytest.raises(NegativeOrder, match=message):
+            sum_two_bands_table(p, box)
 
 
 def test_dimensions_and_cutoffs_must_be_ints():

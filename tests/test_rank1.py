@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction as F
 from itertools import product as iproduct
+from math import lcm
 
 import pytest
 
@@ -133,6 +134,11 @@ def test_mixed_moment_rejects_malformed_letters():
         ([(RIGHT, False)], undeclared),
         ([(RIGHT, 0.0)], undeclared),
         ([(RIGHT, "y")], undeclared),
+        # labels declared only on the other face
+        ([(LEFT, "x")], undeclared),
+        ([(RIGHT, 1)], undeclared),
+        # an unhashable side misses the table like any other bad side
+        ([([], 0)], bad_side),
     ]
     for word, message in bad_words:
         with pytest.raises(ValueError, match=message):
@@ -159,6 +165,10 @@ def test_table_rejects_bad_boxes():
     s = rank1_from_table(TwoBandsTable([[1, 2], [3, 4]]), 0)
     for box in ((-1, 1), (1, -1), (1.5, 1), (1, True)):
         with pytest.raises(NegativeOrder):
+            s.table(box)
+    # a box that is not a pair is refused by name, not by a failed unpacking
+    for box in (5, (1,), (1, 2, 3), None):
+        with pytest.raises(NegativeOrder, match=re.escape(f"got {box!r}")):
             s.table(box)
     assert s.table((1, 1)) == TwoBandsTable([[1, 2], [3, 4]])
 
@@ -468,11 +478,17 @@ def test_int_extraction_matches_fraction_route():
             continue
         assert (got.lam, got.two_bands, got.cap) == (want.lam, want.two_bands, want.cap)
         assert got.lam == dense_lam(rep)
-        # the int tables extract_system hands over are the constructor's own,
-        # with D the LCM of the reduced denominators, not of D_L^p D_R^q
+        # both routes end in _fill, so a constructor-built copy checks only
+        # the fields it is given; D and the int tables are checked here:
+        # D is the LCM of the reduced denominators, not of D_L^p D_R^q
         s = Rank1System(got.left_indices, got.right_indices, got.lam, got.two_bands, got.cap)
         assert (got._scale, got._phi_d, got._lam_d, got._letters) == (
             s._scale, s._phi_d, s._lam_d, s._letters)
+        values = [*got.lam.values(), *got.two_bands.values()]
+        assert got._scale == lcm(*(v.denominator for v in values))
+        assert got._phi_d == {w: v * got._scale for w, v in got.two_bands.items()}
+        assert got._lam_d == {ij: x * got._scale for ij, x in got.lam.items()}
+        assert all(type(x) is int for x in [*got._phi_d.values(), *got._lam_d.values()])
         seen.add("lam" if got.lam else "zero")
         if any(v.denominator > 1 for v in got.lam.values()):
             seen.add("rational lam")
