@@ -407,6 +407,8 @@ def sum_two_bands_table(product: ProductState, box) -> TwoBandsTable:
     D_L^p D_R^q.
     """
     m, n = _box_orders(box)
+    if not isinstance(product, ProductState):
+        raise TypeError(f"product must be a ProductState, got {type(product).__name__}")
     if m + n > product.max_word_len:
         raise TruncationUnsound(
             f"box {box} needs words of length {m + n} but max_word_len is "

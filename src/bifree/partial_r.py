@@ -27,9 +27,10 @@ is D = 1 - (the mixed part of R), and solving for H gives
 
 where ``t ha = t pa(t ha)`` for ``pa = 1 + z ra``, so the powers of
 ``t ha`` are the same Lagrange-Buermann rows, taken from the powers of
-``pa``.  Every step is exact, and both directions run on integer grids
-over one denominator from the input table to the output: no
-one-variable series is built on the way, and a quotient is one division.
+``pa``.  Every step is exact and runs on the weight scale: for c the LCM
+of a table's denominators, c^(p+q) H[p][q] is the integer table of
+(c a, c b), and R scales the same way, so every grid of both maps is an
+integer grid, with no denominator and no one-variable series on the way.
 
 Tables are immutable after construction and all functions here are pure, so
 values can be shared between threads freely.
@@ -39,8 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import BoxMismatch, Series2, _burmann_rows, _divide, _fractions, _reciprocal
-from .series import _reduced, _scaled, _substitute
+from .series import BoxMismatch, Series2, _burmann_rows, _denominator, _divide, _substitute
 from .transforms import BadNormalization
 
 __all__ = [
@@ -98,30 +98,36 @@ class PartialRTable(Series2):
         return self.values[0]
 
 
-def _forward(values, m, n):
-    """(ints, den) of the cumulant table of the moment rows ``values`` on the box (m, n)."""
-    h, dh = _scaled(values)
-    ka = _burmann_rows(*_reciprocal([[x[0]] for x in h], dh), m)
-    kb = _burmann_rows(*_reciprocal([[x] for x in h[0]], dh), n)
-    s, ds = _substitute(h, dh, ka, kb)
+def _weighted(grid, c):
+    """The integer grid c^(p+q) grid[p][q], for c a multiple of every denominator."""
+    return [[v.numerator * (c ** (p + q) // v.denominator) for q, v in enumerate(row)]
+            for p, row in enumerate(grid)]
+
+
+def _unweighted(ints, c):
+    """The Fraction rows ints[p][q] / c^(p+q), one Fraction per entry."""
+    return [[Fraction(x, c ** (p + q)) for q, x in enumerate(row)] for p, row in enumerate(ints)]
+
+
+def _forward(h, m, n):
+    """The cumulant grid of the moment grid h on the box (m, n), both on the weight scale."""
+    ka = _burmann_rows(_divide([[1]] + [[0]] * m, [[x[0]] for x in h]), m)
+    kb = _burmann_rows(_divide([[1]] + [[0]] * n, [[x] for x in h[0]]), n)
+    s = _substitute(h, ka, kb)
     col, row = [x[0] for x in s], s[0]
-    q, dq = _divide([[x * y for y in row] for x in col], s, ds)
-    linear = [[x] + [0] * (len(row) - 1) for x in col]
-    linear[0] = [col[0] + row[0] - ds] + row[1:]
-    return [[u * dq - v * ds for u, v in zip(lr, qr)] for lr, qr in zip(linear, q)], ds * dq
+    q = _divide([[x * y for y in row] for x in col], s)
+    # S(z, 0) + S(0, w) - 1 is S on column 0 and row 0, and 0 inside
+    return [[(0 if i and j else x) - y for j, (x, y) in enumerate(zip(u, v))]
+            for i, (u, v) in enumerate(zip(s, q))]
 
 
-def _inverse(rho, d, m, n):
-    """The moment table whose cumulant table is the integer grid rho over d, on the box (m, n)."""
-    a = [row[0] for row in rho]
-    b = list(rho[0])
-    a[0] = b[0] = d  # 1 + R[0][0] = 1
+def _inverse(rho, m, n):
+    """The moment grid whose cumulant grid is rho on the box (m, n), both on the weight scale."""
+    a, b = [1] + [row[0] for row in rho[1:]], [1] + rho[0][1:]  # 1 + R[0][0] = 1
     grid = [[-x if i and j else 0 for j, x in enumerate(row)] for i, row in enumerate(rho)]
-    grid[0][0] = d
-    ga = _burmann_rows([[x] for x in a], d, m)
-    gb = _burmann_rows([[x] for x in b], d, n)
-    q = _divide([[x * y for y in b] for x in a], grid, d)
-    return TwoBandsTable(_fractions(*_substitute(*q, ga, gb)))
+    grid[0][0] = 1
+    q = _divide([[x * y for y in b] for x in a], grid)
+    return _substitute(q, _burmann_rows([[x] for x in a], m), _burmann_rows([[x] for x in b], n))
 
 
 def compute_partial_r(table: TwoBandsTable) -> PartialRTable:
@@ -130,11 +136,12 @@ def compute_partial_r(table: TwoBandsTable) -> PartialRTable:
     Exact on the whole input box: R[m][n] is a universal integer polynomial
     in the moments phi(a^p b^q) with p <= m, q <= n.  The powers of ka and
     kb are the Lagrange-Buermann rows of 1/ha and 1/hb, the integer
-    reciprocals of column 0 and row 0 of the scaled table.  With
+    reciprocals of column 0 and row 0 of the weighted table.  With
     S = H(ka, kb), S(z, 0) = 1 + z ra and S(0, w) = 1 + w rb exactly, so R
-    is S(z, 0) + S(0, w) - 1 - S(z, 0) S(0, w) / S on S's own integer grid.
+    is S(z, 0) + S(0, w) - 1 - S(z, 0) S(0, w) / S, S an integer grid.
     """
-    return PartialRTable(_fractions(*_forward(table.values, *table.box)))
+    c = _denominator(table.values)
+    return PartialRTable(_unweighted(_forward(_weighted(table.values, c), *table.box), c))
 
 
 def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
@@ -147,7 +154,8 @@ def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
     t ha = t pa(t ha), so the powers of t ha are the Lagrange-Buermann
     rows of pa's integer column, and likewise for b.
     """
-    return _inverse(*_scaled(r.values), *r.box)
+    c = _denominator(r.values)
+    return TwoBandsTable(_unweighted(_inverse(_weighted(r.values, c), *r.box), c))
 
 
 def biconvolve(t1: TwoBandsTable, t2: TwoBandsTable) -> TwoBandsTable:
@@ -155,13 +163,15 @@ def biconvolve(t1: TwoBandsTable, t2: TwoBandsTable) -> TwoBandsTable:
 
     Both tables must live on the same box; truncate explicitly beforehand if
     they do not, so no order loss can pass silently.  Two forward passes and
-    one inverse on integers: the cumulant grids add as (r1 d2 + r2 d1) / (d1 d2).
+    one inverse on integers: both tables share one weight c, so their
+    cumulant grids simply add.
     """
     if t1.box != t2.box:
         raise BoxMismatch(f"boxes differ: {t1.box} vs {t2.box}")
-    (r1, d1), (r2, d2) = _forward(t1.values, *t1.box), _forward(t2.values, *t1.box)
-    total = [[x * d2 + y * d1 for x, y in zip(u, v)] for u, v in zip(r1, r2)]
-    return _inverse(*_reduced(total, d1 * d2), *t1.box)
+    c = _denominator(t1.values, t2.values)
+    r1, r2 = (_forward(_weighted(t.values, c), *t1.box) for t in (t1, t2))
+    total = [[x + y for x, y in zip(u, v)] for u, v in zip(r1, r2)]
+    return TwoBandsTable(_unweighted(_inverse(total, *t1.box), c))
 
 
 def mixed_cumulants_vanish(table: TwoBandsTable) -> bool:
@@ -170,5 +180,5 @@ def mixed_cumulants_vanish(table: TwoBandsTable) -> bool:
     Holds exactly when the left and right variable are classically
     independent as far as the box can see.
     """
-    r, _ = _forward(table.values, *table.box)
+    r = _forward(_weighted(table.values, _denominator(table.values)), *table.box)
     return not any(x for row in r[1:] for x in row[1:])

@@ -10,12 +10,12 @@ zero; for that reason series can be truncated but never padded.
 The two-variable product, and the reciprocal and substitution in both
 classes, run on Python ints: each operand grid is scaled to integers over
 the LCM of its denominators, and one Fraction is built per output
-coefficient.  The division and substitution kernels take and return a
-reduced integer grid over one denominator, so they chain without Fractions.
-A one-variable series enters these kernels as a one-column grid, and the
-substitution takes its inner series as integer power rows: _power_rows
-builds them from any series that vanishes at 0, and _burmann_rows from phi
-alone for the solution f of f = z phi(f).
+coefficient.  The kernels take and return integer grids, with no
+denominator: _divide divides by a grid with corner 1, _substitute takes
+integer power rows, and _burmann_rows builds those of the solution f of
+f = z phi(f) from an integer column phi.  A reciprocal with another corner
+a0 first weights its grid by powers of a0.  A one-variable series enters
+these kernels as a one-column grid.
 
 Values are immutable and hashable and may be shared freely between threads.
 """
@@ -23,7 +23,7 @@ Values are immutable and hashable and may be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 __all__ = [
     "Series1",
@@ -173,14 +173,13 @@ class Series1:
 
     def reciprocal(self) -> "Series1":
         """Series g with self * g = 1 up to the order of self."""
-        column, d = _reciprocal(*_scaled([c] for c in self.coeffs))
-        return Series1([Fraction(x, d) for (x,) in column])
+        return Series1([x for (x,) in _reciprocal(*_scaled([c] for c in self.coeffs))])
 
     def compose(self, g: "Series1") -> "Series1":
         """self(g(t)) to order min(self.order, g.order); g must vanish at 0."""
         grid, dh = _scaled([c] for c in self.coeffs)
-        column, d = _substitute(grid, dh, _power_rows(g, self.order), ([[1]], 1))
-        return Series1([Fraction(x, d) for (x,) in column])
+        rows, df = _power_rows(g, self.order)
+        return Series1([Fraction(x, dh * df) for (x,) in _substitute(grid, rows, [[1]])])
 
     def revert(self) -> "Series1":
         """Compositional inverse: g with self(g(t)) = t up to the order.
@@ -306,7 +305,7 @@ class Series2:
 
     def reciprocal(self) -> "Series2":
         """Series g with self * g = 1 on the box of self."""
-        return Series2(_fractions(*_reciprocal(*_scaled(self.values))))
+        return Series2(_reciprocal(*_scaled(self.values)))
 
     def substitute(self, f: Series1, g: Series1) -> "Series2":
         """self(f(z), g(w)) for inner series vanishing at 0.
@@ -316,88 +315,78 @@ class Series2:
         on unknown data.
         """
         m, n = self.box
-        return Series2(_fractions(*_substitute(*_scaled(self.values),
-                                               _power_rows(f, m), _power_rows(g, n))))
+        h, dh = _scaled(self.values)
+        (fp, df), (gq, dg) = _power_rows(f, m), _power_rows(g, n)
+        return Series2(_fractions(_substitute(h, fp, gq), dh * df * dg))
 
 
 def _reciprocal(a, d):
-    """(ints, den) of 1 / (a / d) for an integer grid a: _divide with d at the corner."""
-    return _divide([[d] + [0] * (len(a[0]) - 1)] + [[0] * len(a[0])] * (len(a) - 1), a, 1)
+    """The Fraction rows of 1 / (a / d) for an integer grid a with a0 = a[0][0] != 0.
 
-
-def _divide(num, a, den):
-    """(ints, d) of (num / den) / a for integer grids num, a on one box; a[0][0] != 0.
-
-    One fraction-free pass: with a0 = a[0][0], B[p][q] = a0^(p+q+1) (num / a)[p][q]
-    are integers, B[p][q] = a0^(p+q) num[p][q] - sum over (i, j) != (0, 0) of
-    a[i][j] a0^(i+j-1) B[p-i][q-j], and the result is B[p][q] a0^(m+n-p-q)
-    over den a0^(m+n+1), reduced.  A zero entry of num costs nothing.
+    A = a(a0 t, a0 s) / a0, A[p][q] = a0^(p+q-1) a[p][q], is an integer grid
+    with corner 1, so 1 / a = B[p][q] / a0^(p+q+1) for the integer grid B = 1 / A.
     """
-    if a[0][0] == 0:
-        raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
-    m, n = len(a) - 1, len(a[0]) - 1
     a0 = a[0][0]
-    powers = [1]
-    for _ in range(m + n + 1):
-        powers.append(powers[-1] * a0)
-    # a[i][j] a0^(i+j-1) for (i, j) != (0, 0); the corner is never read
-    a = [[x * powers[i + j - 1] if i + j else 0 for j, x in enumerate(row)]
-         for i, row in enumerate(a)]
+    if a0 == 0:
+        raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
+    weighted = [[x * a0 ** (p + q - 1) if p + q else 1 for q, x in enumerate(row)]
+                for p, row in enumerate(a)]
+    b = _divide([[1] + [0] * (len(a[0]) - 1)] + [[0] * len(a[0])] * (len(a) - 1), weighted)
+    return [[Fraction(d * x, a0 ** (p + q + 1)) for q, x in enumerate(row)]
+            for p, row in enumerate(b)]
+
+
+def _divide(num, a):
+    """The integer grid num / a for integer grids num, a on one box with a[0][0] = 1.
+
+    b[p][q] = num[p][q] - sum over (i, j) != (0, 0) of a[i][j] b[p-i][q-j];
+    the term (0, 0) reads b[p][q] while it is still 0.
+    """
+    m, n = len(a) - 1, len(a[0]) - 1
     b = [[0] * (n + 1) for _ in range(m + 1)]
     for p in range(m + 1):
         for q in range(n + 1):
-            x = num[p][q]
-            acc = x * powers[p + q] if x else 0
+            acc = num[p][q]
             for i in range(p + 1):
                 ai, bi = a[i], b[p - i]
                 for j in range(q + 1):
                     if ai[j]:
                         acc -= ai[j] * bi[q - j]
             b[p][q] = acc
-    return _reduced([[x * powers[m + n - p - q] for q, x in enumerate(row)]
-                     for p, row in enumerate(b)], den * powers[m + n + 1])
+    return b
 
 
-def _substitute(grid, dh, f_rows, g_rows):
-    """(ints, den) of (grid / dh)(f(z), g(w)) from the power rows of f and g.
+def _substitute(grid, fp, gq):
+    """The integer grid F^T H G = grid(f(z), g(w)) from the power rows F of f and G of g.
 
-    f_rows = (F, df) holds F[p][i] / df = [z^i] f^p, as _power_rows and
-    _burmann_rows return it, and likewise g_rows = (G, dg).  The box is
-    (min(m, len(F) - 1), min(n, len(G) - 1)) for an integer grid on (m, n).
-    The result is F^T H G, computed in two passes, T = H G and then F^T T,
-    on integers over one common denominator, reduced.
+    F[p][i] = [z^i] f^p, as _burmann_rows and _power_rows (over its den) give
+    them.  The box is (min(m, len(F) - 1), min(n, len(G) - 1)) for a grid on
+    (m, n).  Two passes, T = H G and then F^T T.
     """
-    (fp, df), (gq, dg) = f_rows, g_rows
     m = min(len(grid) - 1, len(fp) - 1)
     n = min(len(grid[0]) - 1, len(gq) - 1)
     h = [row[: n + 1] for row in grid[: m + 1]]
     # f^p and g^q vanish below z^p and w^q, so only p <= i and q <= j contribute
     t = [[sum(row[q] * gq[q][j] for q in range(j + 1)) for j in range(n + 1)] for row in h]
-    return _reduced([[sum(fp[p][i] * t[p][j] for p in range(i + 1)) for j in range(n + 1)]
-                     for i in range(m + 1)], dh * df * dg)
+    return [[sum(fp[p][i] * t[p][j] for p in range(i + 1)) for j in range(n + 1)]
+            for i in range(m + 1)]
 
 
 def _scaled(grid):
     """(ints, d) with grid = ints / d, where d is the LCM of the denominators."""
     grid = list(grid)
-    d = 1
-    for row in grid:
-        for v in row:
-            d = lcm(d, v.denominator)
+    d = _denominator(grid)
     return [[v.numerator * (d // v.denominator) for v in row] for row in grid], d
 
 
-def _reduced(ints, den):
-    """(ints, den) over their gcd with den > 0: the LCM _scaled finds on the reduced Fractions."""
-    g = den
-    for row in ints:
-        for x in row:
-            g = gcd(g, x)
-    if den < 0:
-        g = -g
-    if g == 1:
-        return ints, den
-    return [[x // g for x in row] for row in ints], den // g
+def _denominator(*grids):
+    """The LCM of the denominators of every entry of the Fraction grids."""
+    d = 1
+    for grid in grids:
+        for row in grid:
+            for v in row:
+                d = lcm(d, v.denominator)
+    return d
 
 
 def _fractions(ints, den):
@@ -442,22 +431,19 @@ def _power_rows(f: Series1, k: int):
     return rows, d**k
 
 
-def _burmann_rows(phi, d, k):
-    """(rows, den) with rows[p][n] / den = [z^n] f^p for p, n <= k, where f = z (phi / d)(f).
+def _burmann_rows(phi, k):
+    """rows[p][n] = [z^n] f^p for p, n <= k, where f = z phi(f), for an integer column phi.
 
-    phi is an integer column on (k - 1, 0) or larger.  Lagrange-Buermann
-    gives the powers of f with no reversion: with P_n = phi^n,
-    [z^n] f^p = p [w^(n-p)] P_n / (n d^n) for n >= 1, and f^0 = 1.  Only
-    w^0 .. w^(k-1) of each power are read, so the powers are grid products
-    on (k - 1, 0), and den = d^k lcm(1, ..., k) clears every n d^n.
+    phi is an integer column on (k - 1, 0) or larger, so f and its powers
+    have integer coefficients.  Lagrange-Buermann gives them with no
+    reversion: [z^n] f^p = p [w^(n-p)] phi^n / n for n >= 1, an exact
+    division, and f^0 = 1.  Only w^0 .. w^(k-1) of each power are read, so
+    the powers are grid products on (k - 1, 0).
     """
-    lcm_n = lcm(*range(1, k + 1))
-    den = d**k * lcm_n
-    rows = [[den] + [0] * k] + [[0] * (k + 1) for _ in range(k)]
+    rows = [[1] + [0] * k] + [[0] * (k + 1) for _ in range(k)]
     power = [[1]] + [[0] for _ in range(k - 1)]
     for n in range(1, k + 1):
         power = _convolve(power, phi, k - 1, 0)
-        scale = d ** (k - n) * (lcm_n // n)
         for p in range(1, n + 1):
-            rows[p][n] = p * power[n - p][0] * scale
-    return rows, den
+            rows[p][n] = p * power[n - p][0] // n
+    return rows

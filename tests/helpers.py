@@ -9,6 +9,7 @@ a ``ProductState`` through its two actions alone, in Fractions.
 import itertools
 from fractions import Fraction as F
 from itertools import product as iproduct
+from math import gcd, lcm
 
 from bifree.io import to_json
 from bifree.oracle import (
@@ -23,7 +24,7 @@ from bifree.oracle import (
 )
 from bifree.partial_r import PartialRTable, TwoBandsTable, biconvolve, compute_partial_r
 from bifree.rank1 import NotRank1, Rank1System, UnsupportedIndexSets
-from bifree.series import NotInvertible, Series1, Series2, ZeroConstantTerm, _convolve, _reduced
+from bifree.series import NotInvertible, Series1, Series2, ZeroConstantTerm, _convolve, _scaled
 from bifree.transforms import _marginal, moments_to_r, r_to_moments
 
 
@@ -263,6 +264,19 @@ def fraction_substitute(h: Series2, f: Series1, g: Series1) -> Series2:
     return Series2(out)
 
 
+def _reduced(ints, den):
+    """(ints, den) over their gcd with den > 0: the LCM _scaled finds on the reduced Fractions."""
+    g = den
+    for row in ints:
+        for x in row:
+            g = gcd(g, x)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return ints, den
+    return [[x // g for x in row] for row in ints], den // g
+
+
 def two_pass_reciprocal(a, d):
     """(ints, den) of 1 / (a / d) for an integer grid a, by the reciprocal
     recurrence alone: with a0 = a[0][0], B[p][q] = a0^(p+q+1) (1/a)[p][q] and
@@ -291,6 +305,119 @@ def two_pass_divide(num, a, den):
     then its product with num."""
     inverse, d = two_pass_reciprocal(a, 1)
     return _reduced(_convolve(num, inverse, len(a) - 1, len(a[0]) - 1), den * d)
+
+
+# The two-bands maps on integer grids over one denominator, (ints, den),
+# which the weight-scale kernels replaced: a fraction-free division that
+# carries powers of the divisor's corner a0, Buermann rows over
+# d^k lcm(1, ..., k), and a gcd reduction between kernels.
+
+
+def fraction_free_divide(num, a, den):
+    """(ints, d) of (num / den) / a for integer grids num, a on one box; a[0][0] != 0.
+
+    With a0 = a[0][0], B[p][q] = a0^(p+q+1) (num / a)[p][q] are integers,
+    B[p][q] = a0^(p+q) num[p][q] - sum over (i, j) != (0, 0) of
+    a[i][j] a0^(i+j-1) B[p-i][q-j], and the result is B[p][q] a0^(m+n-p-q)
+    over den a0^(m+n+1), reduced.
+    """
+    if a[0][0] == 0:
+        raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
+    m, n = len(a) - 1, len(a[0]) - 1
+    a0 = a[0][0]
+    powers = [1]
+    for _ in range(m + n + 1):
+        powers.append(powers[-1] * a0)
+    a = [[x * powers[i + j - 1] if i + j else 0 for j, x in enumerate(row)]
+         for i, row in enumerate(a)]
+    b = [[0] * (n + 1) for _ in range(m + 1)]
+    for p in range(m + 1):
+        for q in range(n + 1):
+            x = num[p][q]
+            acc = x * powers[p + q] if x else 0
+            for i in range(p + 1):
+                ai, bi = a[i], b[p - i]
+                for j in range(q + 1):
+                    if ai[j]:
+                        acc -= ai[j] * bi[q - j]
+            b[p][q] = acc
+    return _reduced([[x * powers[m + n - p - q] for q, x in enumerate(row)]
+                     for p, row in enumerate(b)], den * powers[m + n + 1])
+
+
+def fraction_free_reciprocal(a, d):
+    """(ints, den) of 1 / (a / d): the division of d at the corner by a."""
+    return fraction_free_divide([[d] + [0] * (len(a[0]) - 1)] + [[0] * len(a[0])] * (len(a) - 1),
+                                a, 1)
+
+
+def fraction_free_substitute(grid, dh, f_rows, g_rows):
+    """(ints, den) of (grid / dh)(f(z), g(w)) for power rows (F, df) and (G, dg), reduced."""
+    (fp, df), (gq, dg) = f_rows, g_rows
+    m = min(len(grid) - 1, len(fp) - 1)
+    n = min(len(grid[0]) - 1, len(gq) - 1)
+    h = [row[: n + 1] for row in grid[: m + 1]]
+    t = [[sum(row[q] * gq[q][j] for q in range(j + 1)) for j in range(n + 1)] for row in h]
+    return _reduced([[sum(fp[p][i] * t[p][j] for p in range(i + 1)) for j in range(n + 1)]
+                     for i in range(m + 1)], dh * df * dg)
+
+
+def fraction_free_burmann_rows(phi, d, k):
+    """(rows, den) with rows[p][n] / den = [z^n] f^p for f = z (phi / d)(f), over
+    den = d^k lcm(1, ..., k): [z^n] f^p = p [w^(n-p)] P_n / (n d^n), P_n = phi^n."""
+    lcm_n = lcm(*range(1, k + 1))
+    den = d**k * lcm_n
+    rows = [[den] + [0] * k] + [[0] * (k + 1) for _ in range(k)]
+    power = [[1]] + [[0] for _ in range(k - 1)]
+    for n in range(1, k + 1):
+        power = _convolve(power, phi, k - 1, 0)
+        scale = d ** (k - n) * (lcm_n // n)
+        for p in range(1, n + 1):
+            rows[p][n] = p * power[n - p][0] * scale
+    return rows, den
+
+
+def fraction_free_forward(values, m, n):
+    """(ints, den) of the cumulant table of the moment rows ``values`` on the box (m, n)."""
+    h, dh = _scaled(values)
+    ka = fraction_free_burmann_rows(*fraction_free_reciprocal([[x[0]] for x in h], dh), m)
+    kb = fraction_free_burmann_rows(*fraction_free_reciprocal([[x] for x in h[0]], dh), n)
+    s, ds = fraction_free_substitute(h, dh, ka, kb)
+    col, row = [x[0] for x in s], s[0]
+    q, dq = fraction_free_divide([[x * y for y in row] for x in col], s, ds)
+    linear = [[x] + [0] * (len(row) - 1) for x in col]
+    linear[0] = [col[0] + row[0] - ds] + row[1:]
+    return [[u * dq - v * ds for u, v in zip(lr, qr)] for lr, qr in zip(linear, q)], ds * dq
+
+
+def fraction_free_inverse(rho, d, m, n):
+    """The moment table whose cumulant table is the integer grid rho over d, on the box (m, n)."""
+    a = [row[0] for row in rho]
+    b = list(rho[0])
+    a[0] = b[0] = d
+    grid = [[-x if i and j else 0 for j, x in enumerate(row)] for i, row in enumerate(rho)]
+    grid[0][0] = d
+    ga = fraction_free_burmann_rows([[x] for x in a], d, m)
+    gb = fraction_free_burmann_rows([[x] for x in b], d, n)
+    q = fraction_free_divide([[x * y for y in b] for x in a], grid, d)
+    ints, den = fraction_free_substitute(*q, ga, gb)
+    return TwoBandsTable([[F(x, den) for x in row] for row in ints])
+
+
+def fraction_free_compute_partial_r(table: TwoBandsTable) -> PartialRTable:
+    ints, den = fraction_free_forward(table.values, *table.box)
+    return PartialRTable([[F(x, den) for x in row] for row in ints])
+
+
+def fraction_free_partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
+    return fraction_free_inverse(*_scaled(r.values), *r.box)
+
+
+def fraction_free_biconvolve(t1: TwoBandsTable, t2: TwoBandsTable) -> TwoBandsTable:
+    """Two forward passes, the cumulant grids added as (r1 d2 + r2 d1) / (d1 d2), one inverse."""
+    (r1, d1), (r2, d2) = (fraction_free_forward(t.values, *t.box) for t in (t1, t2))
+    total = [[x * d2 + y * d1 for x, y in zip(u, v)] for u, v in zip(r1, r2)]
+    return fraction_free_inverse(*_reduced(total, d1 * d2), *t1.box)
 
 
 def noncrossing_partitions(size: int) -> list:

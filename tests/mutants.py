@@ -40,10 +40,14 @@ PARTIAL_R = "src/bifree/partial_r.py"
 RANK1 = "src/bifree/rank1.py"
 ORACLE = "src/bifree/oracle.py"
 TRANSFORMS = "src/bifree/transforms.py"
+SELFCHECK = "src/bifree/selfcheck.py"
+IO = "src/bifree/io.py"
+CLI = "src/bifree/cli.py"
 
 RECIPROCAL_TESTS = (
     "tests/test_series.py::test_reciprocal_matches_fraction_loop",
     "tests/test_series.py::test_one_variable_reciprocal_matches_fraction_loop",
+    "tests/test_series.py::test_public_reciprocals_take_any_corner",
 )
 DIVIDE_TEST = "tests/test_series.py::test_divide_matches_two_pass_quotient"
 SUBSTITUTE_TESTS = (
@@ -53,6 +57,7 @@ SUBSTITUTE_TESTS = (
 FRAMED_TEST = "tests/test_partial_r.py::test_integer_pipeline_matches_framed_route"
 BURMANN_TEST = "tests/test_series.py::test_burmann_rows_match_lagrange_power_rows"
 SUM_TEST = "tests/test_partial_r.py::test_biconvolve_is_the_sum_of_cumulant_tables"
+WEIGHT_TEST = "tests/test_partial_r.py::test_weight_scale_maps_match_fraction_free_route"
 RECURSION_TEST = "tests/test_rank1.py::test_int_recursion_matches_fraction_route"
 ZERO_TEST = "tests/test_rank1.py::test_stored_zero_moments_skip_the_phi_fallback"
 LAGRANGE_TEST = "tests/test_series.py::test_lagrange_solves_its_fixed_point"
@@ -62,24 +67,12 @@ LETTERS_TEST = "tests/test_rank1.py::test_mixed_moment_rejects_malformed_letters
 
 # (name, file, exact old text, new text, pytest targets)
 MUTANTS = [
-    # the a0 powers of the division recurrence: the reciprocal tests that
-    # first caught them, and the two-pass quotient
-    ("divide-output-power", SERIES,
-     "[[x * powers[m + n - p - q] for q, x",
-     "[[x * powers[m + n + 1 - p - q] for q, x",
+    # a public reciprocal weights its grid by powers of its corner a0, so
+    # that the division kernel sees corner 1
+    ("reciprocal-weight-a0-power", SERIES,
+     "x * a0 ** (p + q - 1) if p + q else 1",
+     "x * a0 ** (p + q) if p + q else 1",
      RECIPROCAL_TESTS + (DIVIDE_TEST,)),
-    ("divide-recurrence-power", SERIES,
-     "x * powers[i + j - 1] if i + j else 0",
-     "x * powers[i + j] if i + j else 0",
-     RECIPROCAL_TESTS + (DIVIDE_TEST,)),
-    ("divide-numerator-power", SERIES,
-     "acc = x * powers[p + q] if x else 0",
-     "acc = x * powers[p + q + 1] if x else 0",
-     (DIVIDE_TEST,)),
-    ("divide-numerator-dropped", SERIES,
-     "acc = x * powers[p + q] if x else 0",
-     "acc = x if p + q == 0 else 0",
-     (DIVIDE_TEST,)),
     # the output box of a substitution is the smaller of the outer and the
     # inner order
     ("substitute-order-from-inner", SERIES,
@@ -92,45 +85,40 @@ MUTANTS = [
      SUBSTITUTE_TESTS),
     # the two-variable maps
     ("forward-quotient-row-column-swap", PARTIAL_R,
-     "_divide([[x * y for y in row] for x in col], s, ds)",
-     "_divide([[x * y for y in col] for x in row], s, ds)",
+     "_divide([[x * y for y in row] for x in col], s)",
+     "_divide([[x * y for y in col] for x in row], s)",
      (FRAMED_TEST,)),
     ("inverse-quotient-row-column-swap", PARTIAL_R,
-     "_divide([[x * y for y in b] for x in a], grid, d)",
-     "_divide([[x * y for y in a] for x in b], grid, d)",
+     "_divide([[x * y for y in b] for x in a], grid)",
+     "_divide([[x * y for y in a] for x in b], grid)",
      (FRAMED_TEST,)),
     ("inverse-divisor-keeps-row-0", PARTIAL_R,
      "[[-x if i and j else 0 for j, x in enumerate(row)]",
      "[[-x if j else 0 for j, x in enumerate(row)]",
      (FRAMED_TEST,)),
-    # the Lagrange-Buermann power rows
+    # the Lagrange-Buermann power rows, [z^n] f^p = p [w^(n-p)] phi^n / n
     ("burmann-p-over-n", SERIES,
-     "rows[p][n] = p * power[n - p][0] * scale",
-     "rows[p][n] = power[n - p][0] * scale",
+     "rows[p][n] = p * power[n - p][0] // n",
+     "rows[p][n] = power[n - p][0] // n",
      (BURMANN_TEST,)),
-    ("burmann-den-without-lcm", SERIES,
-     "den = d**k * lcm_n\n",
-     "den = d**k\n",
-     (BURMANN_TEST,)),
-    ("burmann-lcm-is-k", SERIES,
-     "lcm_n = lcm(*range(1, k + 1))",
-     "lcm_n = max(k, 1)",
+    ("burmann-divisor-n-plus-1", SERIES,
+     "rows[p][n] = p * power[n - p][0] // n",
+     "rows[p][n] = p * power[n - p][0] // (n + 1)",
      (BURMANN_TEST,)),
     ("burmann-empty-row-0", SERIES,
-     "rows = [[den] + [0] * k]",
+     "rows = [[1] + [0] * k]",
      "rows = [[0] + [0] * k]",
      (BURMANN_TEST,)),
-    # biconvolve adds r1 / d1 + r2 / d2 on integers
-    ("biconvolve-swapped-scales", PARTIAL_R,
-     "[[x * d2 + y * d1 for x, y in zip(u, v)]",
-     "[[x * d1 + y * d2 for x, y in zip(u, v)]",
-     (SUM_TEST,)),
-    ("biconvolve-sum-over-d1", PARTIAL_R,
-     "[[x * d2 + y * d1 for x, y in zip(u, v)] for u, v in zip(r1, r2)]\n"
-     "    return _inverse(*_reduced(total, d1 * d2), *t1.box)",
-     "[[x + y for x, y in zip(u, v)] for u, v in zip(r1, r2)]\n"
-     "    return _inverse(*_reduced(total, d1), *t1.box)",
-     (SUM_TEST,)),
+    # the two-bands maps weight entry (p, q) by c^(p+q), and biconvolve
+    # weights both tables by one c
+    ("weight-c-to-the-p", PARTIAL_R,
+     "c ** (p + q) // v.denominator",
+     "c ** p // v.denominator",
+     (WEIGHT_TEST,)),
+    ("biconvolve-weight-from-t1", PARTIAL_R,
+     "c = _denominator(t1.values, t2.values)",
+     "c = _denominator(t1.values)",
+     (WEIGHT_TEST,)),
     # the rank-1 recursion on ints over powers of one scale D: a left letter
     # carries D^2, a correction (phi D)(lam D), and the moment is over D^(2L+1)
     ("rank1-left-letter-carries-d", RANK1,
@@ -250,6 +238,60 @@ MUTANTS = [
      "    _require_rep(rep)\n",
      "",
      ("tests/test_oracle.py::test_two_bands_table_refusals_keep_their_messages",)),
+    # sum_two_bands_table refuses a product that is not a ProductState by name
+    ("sum-table-product-unchecked", ORACLE,
+     "    if not isinstance(product, ProductState):\n"
+     "        raise TypeError(f\"product must be a ProductState, got {type(product).__name__}\")\n",
+     "",
+     ("tests/test_oracle.py::test_sum_table_refuses_a_non_product",)),
+    # each selfcheck suite, disabled, must fail the test that feeds it one
+    # wrong value
+    ("selfcheck-subordination-disabled", SELFCHECK,
+     "    box = 4\n",
+     "    return None\n",
+     ("tests/test_io_cli.py::test_subordination_suite_sees_one_wrong_coefficient",)),
+    ("selfcheck-determination-disabled", SELFCHECK,
+     "if mixed_moment(system, word) != rep.moment(word):",
+     "if False:",
+     ("tests/test_io_cli.py::test_determination_suite_sees_one_wrong_moment",)),
+    ("selfcheck-independence-disabled", SELFCHECK,
+     "    for _ in range(2 * size):\n        tables = []\n",
+     "    for _ in range(0):\n        tables = []\n",
+     ("tests/test_io_cli.py::test_independence_suite_sees_a_sum_that_does_not_factorize",)),
+    ("selfcheck-factorization-disabled", SELFCHECK,
+     "        if got != expected:",
+     "        if False:",
+     ("tests/test_io_cli.py::test_factorization_suite_sees_a_wrong_pair_moment",)),
+    # the input boundary: documents, truncation orders, boxes, models and
+    # exit codes
+    ("json-duplicate-keys-accepted", IO,
+     "json.loads(text, object_pairs_hook=_unique_keys)",
+     "json.loads(text)",
+     ("tests/test_io_cli.py::test_version_and_kind_checked",)),
+    ("json-negative-labels-accepted", IO,
+     "isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in value",
+     "isinstance(v, int) and not isinstance(v, bool) for v in value",
+     ("tests/test_io_cli.py::test_negative_rank1_labels_rejected",)),
+    ("json-bools-read-as-rationals", IO,
+     "if isinstance(v, int) and not isinstance(v, bool):",
+     "if isinstance(v, int):",
+     ("tests/test_io_cli.py::test_rational_codec",)),
+    ("bool-truncation-orders-accepted", SERIES,
+     "if any(type(k) is not int or k < 0 for k in orders):",
+     "if any(not isinstance(k, int) or k < 0 for k in orders):",
+     ("tests/test_series.py::test_truncate_rejects_negative_orders",)),
+    ("truncation-guard-off-by-one", ORACLE,
+     "if m + n > product.max_word_len:",
+     "if m + n > product.max_word_len + 1:",
+     ("tests/test_oracle.py::test_truncation_guard",)),
+    ("rank-check-column-0-only", RANK1,
+     "for c in rep.reliable:",
+     "for c in (0,):",
+     ("tests/test_rank1.py::test_extract_rejects_higher_rank_commutators",)),
+    ("cap-exceeded-exits-2", CLI,
+     "(CapExceeded, 5),",
+     "(CapExceeded, 2),",
+     ("tests/test_io_cli.py::test_moment_cap_exceeded_exits_5",)),
     # a miss with a bad side is refused as such, not as an undeclared label
     ("refuse-letter-side-unchecked", RANK1,
      "    if letter[0] not in (LEFT, RIGHT):\n"

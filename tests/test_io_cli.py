@@ -24,6 +24,7 @@ from bifree.oracle import LEFT, RIGHT, shift_pair_rep
 from bifree.partial_r import PartialRTable, TwoBandsTable, compute_partial_r
 from bifree.rank1 import Rank1System, extract_system
 from bifree.selfcheck import run_selfcheck
+from bifree.series import Series1
 from bifree.transforms import BadNormalization
 from helpers import random_table, save_path
 
@@ -397,6 +398,75 @@ def test_selfcheck_negative_control(capsys):
     assert main(["selfcheck", "--seed", "5", "--size", "1", "--corrupt"]) == 1
     out = capsys.readouterr().out
     assert "FAIL additivity-vs-oracle" in out
+
+
+# every suite can fail: each test below feeds one suite one wrong value
+# through the function it checks, and the suite must report it
+
+
+def assert_only_suite_fails(report, ok, suite):
+    assert ok is False
+    assert f"FAIL {suite}: " in report
+    assert report.count("FAIL") == 1, report
+
+
+def test_determination_suite_sees_one_wrong_moment(monkeypatch):
+    import bifree.selfcheck as selfcheck
+
+    real = selfcheck.mixed_moment
+
+    def off_by_one(system, word):
+        value = real(system, word)
+        return value + 1 if tuple(word) == ((LEFT, 0), (RIGHT, 0)) else value
+
+    monkeypatch.setattr(selfcheck, "mixed_moment", off_by_one)
+    assert_only_suite_fails(*run_selfcheck(0), "two-bands-determination")
+
+
+def test_subordination_suite_sees_one_wrong_coefficient(monkeypatch):
+    import bifree.selfcheck as selfcheck
+
+    real = selfcheck.subordination_series
+
+    def perturbed(m1, m2, order):
+        u1, u2 = real(m1, m2, order)
+        return Series1(u1.coeffs[:2] + (u1.coeffs[2] + 1,) + u1.coeffs[3:]), u2
+
+    monkeypatch.setattr(selfcheck, "subordination_series", perturbed)
+    assert_only_suite_fails(*run_selfcheck(0), "subordination-identities")
+
+
+def test_independence_suite_sees_a_sum_that_does_not_factorize(monkeypatch):
+    import bifree.selfcheck as selfcheck
+
+    real = selfcheck.biconvolve
+
+    def unfactored(t1, t2):
+        rows = [list(row) for row in real(t1, t2).values]
+        rows[1][1] += 1
+        return TwoBandsTable(rows)
+
+    monkeypatch.setattr(selfcheck, "biconvolve", unfactored)
+    report, ok = run_selfcheck(0)
+    # the additivity and subordination suites call biconvolve too
+    assert ok is False
+    assert "FAIL independence-closure: " in report
+
+
+def test_factorization_suite_sees_a_wrong_pair_moment(monkeypatch):
+    import bifree.selfcheck as selfcheck
+    from bifree.oracle import ProductState
+
+    class WrongPairs(ProductState):
+        # a one-factor product gives the pair moments the suite expects
+        __slots__ = ()
+
+        def expectation(self, vec):
+            value = super().expectation(vec)
+            return value + 1 if len(self.factors) == 1 else value
+
+    monkeypatch.setattr(selfcheck, "ProductState", WrongPairs)
+    assert_only_suite_fails(*run_selfcheck(0), "alternating-factorization")
 
 
 def test_selfcheck_size_below_1_exits_2(capsys):

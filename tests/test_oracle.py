@@ -387,6 +387,17 @@ def test_two_bands_table_refusals_keep_their_messages():
             two_bands_table(model, (1, 1))
 
 
+def test_sum_table_refuses_a_non_product():
+    # the product is checked after the box, by name, not by a failed lookup
+    rep = shift_pair_rep(3, ((1, 2), (3, 1)))
+    for not_a_product in (None, [rep], rep):
+        message = f"^product must be a ProductState, got {type(not_a_product).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            sum_two_bands_table(not_a_product, (2, 2))
+        with pytest.raises(NegativeOrder):
+            sum_two_bands_table(not_a_product, (-1, 2))
+
+
 def test_boxes_must_be_pairs_of_orders():
     # a box that is not a pair raises NegativeOrder naming it, not an unpacking error
     rep = shift_pair_rep(3, ((1, 2), (3, 1)))

@@ -16,10 +16,14 @@ from bifree.partial_r import (
     mixed_cumulants_vanish,
     partial_r_to_moments,
 )
-from bifree.series import NegativeOrder, Series2
+from bifree.partial_r import _forward, _unweighted, _weighted
+from bifree.series import NegativeOrder, Series2, _denominator
 from bifree.transforms import BadNormalization, _marginal, moments_to_r
 from helpers import (
     antidiagonal_inverse,
+    fraction_free_biconvolve,
+    fraction_free_compute_partial_r,
+    fraction_free_partial_r_to_moments,
     framed_compute_partial_r,
     noncrossing_cumulants,
     random_table,
@@ -163,6 +167,55 @@ def test_integer_pipeline_matches_framed_route(box, data):
     s = table.substitute(ka, kb)
     assert tuple(x[0] for x in s.values) == pa.coeffs
     assert s.values[0] == pb.coeffs
+
+
+# the weight scale against the (ints, den) route it replaced, which carried
+# powers of each divisor's corner and reduced by a gcd between kernels
+
+
+WEIGHT_BOXES = [(0, 0), (1, 0), (0, 3), (2, 2), (4, 1), (1, 6), (4, 4), (3, 7), (8, 8),
+                (9, 5), (12, 12)]
+DENOMINATORS = [(1,), (1, 2, 3), (2, 3, 5, 7), (1, 2, 3, 5, 7)]
+
+
+@pytest.mark.parametrize("denominators", DENOMINATORS)
+@pytest.mark.parametrize("box", WEIGHT_BOXES)
+def test_weight_scale_maps_match_fraction_free_route(box, denominators):
+    rng = random.Random(f"{box}:{denominators}")
+    t1, t2 = (random_table(rng, box, -9, 9, denominators) for _ in range(2))
+    assert compute_partial_r(t1) == fraction_free_compute_partial_r(t1)
+    rows = [list(row) for row in random_table(rng, box, -9, 9, denominators).values]
+    rows[0][0] = F(0)
+    r = PartialRTable(rows)
+    assert partial_r_to_moments(r) == fraction_free_partial_r_to_moments(r)
+    assert biconvolve(t1, t2) == fraction_free_biconvolve(t1, t2)
+    # one weight for both tables: an integer table with a rational one
+    whole = random_table(rng, box, -9, 9)
+    assert biconvolve(whole, t2) == fraction_free_biconvolve(whole, t2)
+    assert biconvolve(t2, whole) == fraction_free_biconvolve(t2, whole)
+
+
+@pytest.mark.parametrize("box", WEIGHT_BOXES[:9])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_weighted_grids_are_integral(box, data):
+    # on the weight scale c^(p+q), S = H(ka, kb) is an integer grid with
+    # corner 1 and R one with corner 0, for c the LCM of H's denominators
+    entries = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 7]))
+    row = st.lists(entries, min_size=box[1] + 1, max_size=box[1] + 1)
+    rows = data.draw(st.lists(row, min_size=box[0] + 1, max_size=box[0] + 1))
+    table = TwoBandsTable([[F(1)] + rows[0][1:], *rows[1:]])
+    c = _denominator(table.values)
+    ka, _ = _marginal(table.a_moments())
+    kb, _ = _marginal(table.b_moments())
+    s = table.substitute(ka, kb)
+    weighted_s = [c ** (p + q) * x for p, row in enumerate(s.values) for q, x in enumerate(row)]
+    assert weighted_s[0] == 1
+    assert all(x.denominator == 1 for x in weighted_s)
+    r = _forward(_weighted(table.values, c), *box)
+    assert r[0][0] == 0
+    assert all(type(x) is int for row in r for x in row)
+    assert PartialRTable(_unweighted(r, c)) == compute_partial_r(table)
 
 
 @pytest.mark.parametrize("box", [(m, n) for m in range(8) for n in range(8 - m)])

@@ -105,10 +105,11 @@ def test_the_oracle_imports_no_series_kernel():
 
 
 def test_partial_r_stays_on_integer_grids():
-    # Both two-variable maps run on (ints, den) grids from the table to the
-    # output: the Lagrange-Buermann power rows replace the Fraction tower
-    # step, so partial_r must not bring back that step or the one-variable
-    # class it computes on.  Its quotients are one fraction-free division,
+    # Both two-variable maps run on integer grids on the weight scale, with
+    # no denominator, from the weighted table to the output: the
+    # Lagrange-Buermann power rows replace the Fraction tower step, so
+    # partial_r must not bring back that step or the one-variable class it
+    # computes on.  Its quotients are one division by a grid with corner 1,
     # so it needs no separate product kernel either.
     banned = {"_lagrange", "Series1", "_convolve"}
     tree = ast.parse((ROOT / "src" / "bifree" / "partial_r.py").read_text(encoding="utf-8"))
@@ -126,6 +127,23 @@ def test_partial_r_stays_on_integer_grids():
     named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
     between = {"PartialRTable", "compute_partial_r", "partial_r_to_moments", "Fraction"}
     assert not named & between, named & between
+
+
+def test_kernels_carry_no_denominator():
+    # the division, substitution and Buermann kernels take integer grids
+    # alone, and no gcd reduction runs between them
+    tree = ast.parse((ROOT / "src" / "bifree" / "series.py").read_text(encoding="utf-8"))
+    args = {node.name: [a.arg for a in node.args.args] for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    assert args["_divide"] == ["num", "a"]
+    assert args["_substitute"] == ["grid", "fp", "gq"]
+    assert args["_burmann_rows"] == ["phi", "k"]
+    for path in sorted((ROOT / "src" / "bifree").glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & {"_reduced", "gcd"}, path.name
 
 
 def test_the_rank1_recursion_stays_on_ints():

@@ -19,11 +19,14 @@ from bifree.series import (
     _lagrange,
     _power_rows,
     _reciprocal,
-    _reduced,
     _scaled,
     _substitute,
 )
 from helpers import (
+    _reduced,
+    fraction_free_divide,
+    fraction_free_reciprocal,
+    fraction_free_substitute,
     fraction_mul,
     fraction_reciprocal,
     fraction_reciprocal1,
@@ -111,7 +114,7 @@ def test_reciprocal_needs_constant_term():
     with pytest.raises(ZeroConstantTerm):
         Series1([0, 1]).reciprocal()
     with pytest.raises(ZeroConstantTerm):
-        _divide([[1, 2]], [[0, 1]], 1)
+        _reciprocal([[0, 1]], 1)
 
 
 # -- reversion --
@@ -166,23 +169,23 @@ def test_lagrange_solves_its_fixed_point(order, lead, data):
     assert u == horner_compose(phi, u.shift_up())
 
 
-@pytest.mark.parametrize("lead", [F(2), F(-3, 2), F(5, 3), F(1)])
+@pytest.mark.parametrize("lead", [F(2), F(-3), F(5), F(1)])
 @pytest.mark.parametrize("order", range(13))
 @given(data=st.data())
 @settings(max_examples=3, deadline=None)
 def test_burmann_rows_match_lagrange_power_rows(order, lead, data):
     # The power rows of f = t u, u = phi(t u), straight from the powers of
     # phi, against reversion by the Fraction Lagrange step and a power loop.
-    # Lead 1 is the inverse map's phi = 1 + z r; the others are the forward
-    # map's 1 / h.  Only phi's first `order` coefficients may be read.
-    entries = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
-    tail = data.draw(st.lists(entries, min_size=order, max_size=order))
+    # Lead 1 is the column of both maps on the weight scale; the others check
+    # that every division by n stays exact for any integer column.  Only
+    # phi's first `order` coefficients may be read.
+    tail = data.draw(st.lists(st.integers(-6, 6), min_size=order, max_size=order))
     phi = Series1([lead, *tail])
-    column, d = _scaled([c] for c in phi.coeffs)
-    rows, den = _burmann_rows(column[:order], d, order)
+    rows = _burmann_rows([[x.numerator] for x in phi.coeffs[:order]], order)
     want, want_den = _power_rows(_lagrange(phi).shift_up(), order)
     assert len(rows) == len(want) == order + 1
-    assert [[F(x, den) for x in row] for row in rows] == [
+    assert all(type(x) is int for row in rows for x in row)
+    assert [[F(x) for x in row] for row in rows] == [
         [F(x, want_den) for x in row] for row in want
     ]
 
@@ -281,8 +284,9 @@ def test_substitute_matches_fraction_loop(box, data):
     assert out.box == (min(box[0], f.order), min(box[1], g.order))
     assert out == fraction_substitute(h, f, g)
     # power rows longer than the grid: the kernel still stops at the smaller box
-    rows = _power_rows(f, f.order), _power_rows(g, g.order)
-    assert Series2(_fractions(*_substitute(*_scaled(h.values), *rows))) == out
+    (fp, df), (gq, dg) = _power_rows(f, f.order), _power_rows(g, g.order)
+    ints, dh = _scaled(h.values)
+    assert Series2(_fractions(_substitute(ints, fp, gq), dh * df * dg)) == out
 
 
 @pytest.mark.parametrize("box", [(0, 0), (0, 3), (2, 0), (3, 2)])
@@ -302,18 +306,22 @@ def test_reduced_matches_scaled_fractions(box, data):
 @given(data=st.data())
 @settings(max_examples=2, deadline=None)
 def test_kernels_return_reduced_grids(box, data):
-    # every kernel reduces its output, so the next one starts from the LCM
+    # the fraction-free kernels that the weight scale replaced reduce every
+    # output to the LCM, and so agree with the public reciprocal and
+    # substitution as scaled grids
     x = grid(data, box, corner=units)
-    assert _reciprocal(*_scaled(x.values)) == _scaled(x.reciprocal().values)
+    assert fraction_free_reciprocal(*_scaled(x.values)) == _scaled(x.reciprocal().values)
     f, g = inner_series(data), inner_series(data)
     rows = _power_rows(f, box[0]), _power_rows(g, box[1])
-    assert _substitute(*_scaled(x.values), *rows) == _scaled(x.substitute(f, g).values)
+    assert (fraction_free_substitute(*_scaled(x.values), *rows)
+            == _scaled(x.substitute(f, g).values))
 
 
-# one fraction-free division replaced the reciprocal of the divisor followed
-# by a product with the numerator; the two-pass route checks it on integer
-# grids up to (8, 8), one-column grids among them, with corners that make
-# every power of a0 count
+# one division replaced the reciprocal of the divisor followed by a product
+# with the numerator; the two-pass route checks it on integer grids up to
+# (8, 8), one-column grids among them: the kernel on corner 1, the public
+# reciprocal and the fraction-free division it replaced on corners that
+# make every power of a0 count
 
 
 DIVIDE_BOXES = [(0, 0), (1, 0), (4, 0), (8, 0), (0, 3), (2, 2), (3, 5), (6, 4), (8, 8)]
@@ -340,8 +348,24 @@ def test_divide_matches_two_pass_quotient(box, shape, data):
         num = [[0] * (n + 1) for _ in range(m + 1)]
         num[0][0] = data.draw(st.sampled_from([1, -4, 9]))
     den = data.draw(st.sampled_from([1, 2, 6, 35]))
-    assert _divide(num, a, den) == two_pass_divide(num, a, den)
-    assert _reciprocal(a, den) == two_pass_reciprocal(a, den)
+    assert fraction_free_divide(num, a, den) == two_pass_divide(num, a, den)
+    b, d = two_pass_reciprocal(a, den)
+    assert _reciprocal(a, den) == [[F(x, d) for x in row] for row in b]
+    a[0][0] = 1
+    assert _divide(num, a) == two_pass_divide(num, a, 1)[0]
+
+
+@pytest.mark.parametrize("corner", [F(1), F(-1), F(2), F(-3), F(5, 2), F(-7, 3)])
+@pytest.mark.parametrize("box", [(0, 0), (3, 0), (0, 4), (2, 3), (6, 6)])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_public_reciprocals_take_any_corner(corner, box, data):
+    # the public reciprocals weight their grid by powers of its corner a0,
+    # which may be negative or not a unit
+    x = grid(data, box, corner=st.just(corner))
+    assert x.reciprocal() == fraction_reciprocal(x)
+    f = Series1([row[0] for row in x.values])
+    assert f.reciprocal() == fraction_reciprocal1(f)
 
 
 # the one-variable reciprocal and composition are one-column grids in the
