@@ -30,7 +30,7 @@ where ``t ha = t pa(t ha)`` for ``pa = 1 + z ra``, so the powers of
 ``pa``.  Every step is exact and runs on the weight scale: for c the LCM
 of a table's denominators, c^(p+q) H[p][q] is the integer table of
 (c a, c b), and R scales the same way, so every grid of both maps is an
-integer grid, with no denominator and no one-variable series on the way.
+integer grid, and each marginal one integer row, with no denominator.
 
 Tables are immutable after construction and all functions here are pure, so
 values can be shared between threads freely.
@@ -100,19 +100,21 @@ class PartialRTable(Series2):
 
 def _weighted(grid, c):
     """The integer grid c^(p+q) grid[p][q], for c a multiple of every denominator."""
-    return [[v.numerator * (c ** (p + q) // v.denominator) for q, v in enumerate(row)]
+    w = [c**k for k in range(len(grid) + len(grid[0]) - 1)]
+    return [[v.numerator * (w[p + q] // v.denominator) for q, v in enumerate(row)]
             for p, row in enumerate(grid)]
 
 
 def _unweighted(ints, c):
     """The Fraction rows ints[p][q] / c^(p+q), one Fraction per entry."""
-    return [[Fraction(x, c ** (p + q)) for q, x in enumerate(row)] for p, row in enumerate(ints)]
+    w = [c**k for k in range(len(ints) + len(ints[0]) - 1)]
+    return [[Fraction(x, w[p + q]) for q, x in enumerate(row)] for p, row in enumerate(ints)]
 
 
 def _forward(h, m, n):
     """The cumulant grid of the moment grid h on the box (m, n), both on the weight scale."""
-    ka = _burmann_rows(_divide([[1]] + [[0]] * m, [[x[0]] for x in h]), m)
-    kb = _burmann_rows(_divide([[1]] + [[0]] * n, [[x] for x in h[0]]), n)
+    ka = _burmann_rows(_divide([[1] + [0] * m], [[x[0] for x in h]])[0], m)
+    kb = _burmann_rows(_divide([[1] + [0] * n], [h[0]])[0], n)
     s = _substitute(h, ka, kb)
     col, row = [x[0] for x in s], s[0]
     q = _divide([[x * y for y in row] for x in col], s)
@@ -127,7 +129,7 @@ def _inverse(rho, m, n):
     grid = [[-x if i and j else 0 for j, x in enumerate(row)] for i, row in enumerate(rho)]
     grid[0][0] = 1
     q = _divide([[x * y for y in b] for x in a], grid)
-    return _substitute(q, _burmann_rows([[x] for x in a], m), _burmann_rows([[x] for x in b], n))
+    return _substitute(q, _burmann_rows(a, m), _burmann_rows(b, n))
 
 
 def compute_partial_r(table: TwoBandsTable) -> PartialRTable:
@@ -152,7 +154,7 @@ def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
     column 0 cancel in pa + pb - 1 - R, which leaves D = 1 - (the mixed
     part of R).  Then H = Q(t ha(t), s hb(s)) for Q = pa pb / D, where
     t ha = t pa(t ha), so the powers of t ha are the Lagrange-Buermann
-    rows of pa's integer column, and likewise for b.
+    rows of pa's integer row, and likewise for b.
     """
     c = _denominator(r.values)
     return TwoBandsTable(_unweighted(_inverse(_weighted(r.values, c), *r.box), c))

@@ -13,9 +13,9 @@ the LCM of its denominators, and one Fraction is built per output
 coefficient.  The kernels take and return integer grids, with no
 denominator: _divide divides by a grid with corner 1, _substitute takes
 integer power rows, and _burmann_rows builds those of the solution f of
-f = z phi(f) from an integer column phi.  A reciprocal with another corner
+f = z phi(f) from an integer row phi.  A reciprocal with another corner
 a0 first weights its grid by powers of a0.  A one-variable series enters
-these kernels as a one-column grid.
+these kernels as a flat row, never as a one-column grid.
 
 Values are immutable and hashable and may be shared freely between threads.
 """
@@ -173,13 +173,13 @@ class Series1:
 
     def reciprocal(self) -> "Series1":
         """Series g with self * g = 1 up to the order of self."""
-        return Series1([x for (x,) in _reciprocal(*_scaled([c] for c in self.coeffs))])
+        return Series1(_reciprocal(*_scaled([self.coeffs]))[0])
 
     def compose(self, g: "Series1") -> "Series1":
         """self(g(t)) to order min(self.order, g.order); g must vanish at 0."""
-        grid, dh = _scaled([c] for c in self.coeffs)
+        grid, dh = _scaled([self.coeffs])
         rows, df = _power_rows(g, self.order)
-        return Series1([Fraction(x, dh * df) for (x,) in _substitute(grid, rows, [[1]])])
+        return Series1(_fractions(_substitute(grid, [[1]], rows), dh * df)[0])
 
     def revert(self) -> "Series1":
         """Compositional inverse: g with self(g(t)) = t up to the order.
@@ -339,20 +339,23 @@ def _reciprocal(a, d):
 def _divide(num, a):
     """The integer grid num / a for integer grids num, a on one box with a[0][0] = 1.
 
-    b[p][q] = num[p][q] - sum over (i, j) != (0, 0) of a[i][j] b[p-i][q-j];
-    the term (0, 0) reads b[p][q] while it is still 0.
+    Row p of b is num's row p less a's rows i >= 1 times b's rows p - i, then
+    divided by a's row 0, visiting only its nonzero entries: 1, 0, ... is free.
     """
-    m, n = len(a) - 1, len(a[0]) - 1
-    b = [[0] * (n + 1) for _ in range(m + 1)]
-    for p in range(m + 1):
-        for q in range(n + 1):
-            acc = num[p][q]
-            for i in range(p + 1):
-                ai, bi = a[i], b[p - i]
-                for j in range(q + 1):
-                    if ai[j]:
-                        acc -= ai[j] * bi[q - j]
-            b[p][q] = acc
+    head = [(j, x) for j, x in enumerate(a[0]) if j and x]
+    b = []
+    for p, row in enumerate(map(list, num)):
+        b.append(row)
+        for i in range(1, p + 1):
+            for j, x in enumerate(a[i]):
+                if x:
+                    for q, y in enumerate(b[p - i][: len(row) - j], j):
+                        row[q] -= x * y
+        for q in range(len(row)):
+            for j, x in head:
+                if j > q:
+                    break
+                row[q] -= x * row[q - j]
     return b
 
 
@@ -361,15 +364,18 @@ def _substitute(grid, fp, gq):
 
     F[p][i] = [z^i] f^p, as _burmann_rows and _power_rows (over its den) give
     them.  The box is (min(m, len(F) - 1), min(n, len(G) - 1)) for a grid on
-    (m, n).  Two passes, T = H G and then F^T T.
+    (m, n).  Two passes of one row loop that skips zeros: T = H G, then F^T T.
     """
     m = min(len(grid) - 1, len(fp) - 1)
     n = min(len(grid[0]) - 1, len(gq) - 1)
-    h = [row[: n + 1] for row in grid[: m + 1]]
-    # f^p and g^q vanish below z^p and w^q, so only p <= i and q <= j contribute
-    t = [[sum(row[q] * gq[q][j] for q in range(j + 1)) for j in range(n + 1)] for row in h]
-    return [[sum(fp[p][i] * t[p][j] for p in range(i + 1)) for j in range(n + 1)]
-            for i in range(m + 1)]
+    t, out = ([[0] * (n + 1) for _ in range(m + 1)] for _ in range(2))
+    for coeffs, src, dst in ((grid, gq, t), (zip(*fp), t, out)):
+        for row, acc in zip(coeffs, dst):
+            for x, s in zip(row, src):
+                if x:
+                    for j in range(n + 1):
+                        acc[j] += x * s[j]
+    return out
 
 
 def _scaled(grid):
@@ -413,37 +419,44 @@ def _convolve(a, b, m, n):
 def _power_rows(f: Series1, k: int):
     """(rows, den) with rows[p][i] / den = [z^i] f^p for p, i <= min(k, f.order).
 
-    f must vanish at 0.  The powers of f's integer coefficients are grid
-    products on (k, 0), and row p is scaled by d^(k-p) so that every row
-    shares the denominator den = d^k.
+    f must vanish at 0.  The powers of f's integer row come from _powers,
+    and row p is scaled by d^(k-p) so that every row shares the
+    denominator den = d^k.
     """
     if f.coeffs[0] != 0:
         raise NonzeroConstantSubstitution("substituted series must vanish at 0")
     k = min(k, f.order)
-    col, d = _scaled([c] for c in f.coeffs[: k + 1])
-    power = [[1]] + [[0] for _ in range(k)]
-    rows = []
-    for p in range(k + 1):
-        if p:
-            power = _convolve(power, col, k, 0)
-        scale = d ** (k - p)
-        rows.append([x * scale for (x,) in power])
+    (row,), d = _scaled([f.coeffs[: k + 1]])
+    scales = [d ** (k - p) for p in range(k + 1)]
+    rows = [[x * s for x in power] for s, power in zip(scales, [[1] + [0] * k] + _powers(row, k))]
     return rows, d**k
 
 
-def _burmann_rows(phi, k):
-    """rows[p][n] = [z^n] f^p for p, n <= k, where f = z phi(f), for an integer column phi.
+def _powers(f, k):
+    """[f, f^2, ..., f^k] for an integer row f, each power cut to len(f) entries."""
+    power, out = f, []
+    for p in range(k):
+        if p:
+            prev, power = power, [0] * len(f)
+            for i, x in enumerate(prev):
+                if x:
+                    for j, y in enumerate(f[: len(f) - i], i):
+                        power[j] += x * y
+        out.append(power)
+    return out
 
-    phi is an integer column on (k - 1, 0) or larger, so f and its powers
-    have integer coefficients.  Lagrange-Buermann gives them with no
+
+def _burmann_rows(phi, k):
+    """rows[p][n] = [z^n] f^p for p, n <= k, where f = z phi(f), for an integer row phi.
+
+    phi is a flat integer sequence of k or more entries, so f and its
+    powers have integer coefficients.  Lagrange-Buermann gives them with no
     reversion: [z^n] f^p = p [w^(n-p)] phi^n / n for n >= 1, an exact
     division, and f^0 = 1.  Only w^0 .. w^(k-1) of each power are read, so
-    the powers are grid products on (k - 1, 0).
+    the powers phi^1 .. phi^k are cut to k entries.
     """
     rows = [[1] + [0] * k] + [[0] * (k + 1) for _ in range(k)]
-    power = [[1]] + [[0] for _ in range(k - 1)]
-    for n in range(1, k + 1):
-        power = _convolve(power, phi, k - 1, 0)
+    for n, power in enumerate(_powers(phi[:k], k), 1):
         for p in range(1, n + 1):
-            rows[p][n] = p * power[n - p][0] // n
+            rows[p][n] = p * power[n - p] // n
     return rows

@@ -56,6 +56,7 @@ SUBSTITUTE_TESTS = (
 )
 FRAMED_TEST = "tests/test_partial_r.py::test_integer_pipeline_matches_framed_route"
 BURMANN_TEST = "tests/test_series.py::test_burmann_rows_match_lagrange_power_rows"
+POWERS_TEST = "tests/test_series.py::test_power_loop_matches_convolve_powers"
 SUM_TEST = "tests/test_partial_r.py::test_biconvolve_is_the_sum_of_cumulant_tables"
 WEIGHT_TEST = "tests/test_partial_r.py::test_weight_scale_maps_match_fraction_free_route"
 RECURSION_TEST = "tests/test_rank1.py::test_int_recursion_matches_fraction_route"
@@ -73,6 +74,16 @@ MUTANTS = [
      "x * a0 ** (p + q - 1) if p + q else 1",
      "x * a0 ** (p + q) if p + q else 1",
      RECIPROCAL_TESTS + (DIVIDE_TEST,)),
+    # the division runs row by row: the earlier rows of the quotient times
+    # a's rows i >= 1, then one division by a's row 0
+    ("divide-row-0-division-skipped", SERIES,
+     "head = [(j, x) for j, x in enumerate(a[0]) if j and x]",
+     "head = []",
+     RECIPROCAL_TESTS + (DIVIDE_TEST,)),
+    ("divide-earlier-rows-from-0", SERIES,
+     "for i in range(1, p + 1):",
+     "for i in range(p + 1):",
+     (DIVIDE_TEST,)),
     # the output box of a substitution is the smaller of the outer and the
     # inner order
     ("substitute-order-from-inner", SERIES,
@@ -98,22 +109,27 @@ MUTANTS = [
      (FRAMED_TEST,)),
     # the Lagrange-Buermann power rows, [z^n] f^p = p [w^(n-p)] phi^n / n
     ("burmann-p-over-n", SERIES,
-     "rows[p][n] = p * power[n - p][0] // n",
-     "rows[p][n] = power[n - p][0] // n",
+     "rows[p][n] = p * power[n - p] // n",
+     "rows[p][n] = power[n - p] // n",
      (BURMANN_TEST,)),
     ("burmann-divisor-n-plus-1", SERIES,
-     "rows[p][n] = p * power[n - p][0] // n",
-     "rows[p][n] = p * power[n - p][0] // (n + 1)",
+     "rows[p][n] = p * power[n - p] // n",
+     "rows[p][n] = p * power[n - p] // (n + 1)",
      (BURMANN_TEST,)),
     ("burmann-empty-row-0", SERIES,
      "rows = [[1] + [0] * k]",
      "rows = [[0] + [0] * k]",
      (BURMANN_TEST,)),
+    # the one power loop of _burmann_rows and _power_rows starts from phi
+    ("powers-start-from-1", SERIES,
+     "power, out = f, []",
+     "power, out = [1] + [0] * (len(f) - 1), []",
+     (POWERS_TEST, BURMANN_TEST)),
     # the two-bands maps weight entry (p, q) by c^(p+q), and biconvolve
     # weights both tables by one c
     ("weight-c-to-the-p", PARTIAL_R,
-     "c ** (p + q) // v.denominator",
-     "c ** p // v.denominator",
+     "w[p + q] // v.denominator",
+     "w[p] // v.denominator",
      (WEIGHT_TEST,)),
     ("biconvolve-weight-from-t1", PARTIAL_R,
      "c = _denominator(t1.values, t2.values)",

@@ -14,10 +14,12 @@ from bifree.series import (
     Series2,
     ZeroConstantTerm,
     _burmann_rows,
+    _convolve,
     _divide,
     _fractions,
     _lagrange,
     _power_rows,
+    _powers,
     _reciprocal,
     _scaled,
     _substitute,
@@ -176,12 +178,14 @@ def test_lagrange_solves_its_fixed_point(order, lead, data):
 def test_burmann_rows_match_lagrange_power_rows(order, lead, data):
     # The power rows of f = t u, u = phi(t u), straight from the powers of
     # phi, against reversion by the Fraction Lagrange step and a power loop.
-    # Lead 1 is the column of both maps on the weight scale; the others check
-    # that every division by n stays exact for any integer column.  Only
-    # phi's first `order` coefficients may be read.
+    # Lead 1 is the row of both maps on the weight scale; the others check
+    # that every division by n stays exact for any integer row.  Only
+    # phi's first `order` coefficients may be read: the kernel gets all
+    # order + 1 of them, as the maps pass theirs.
     tail = data.draw(st.lists(st.integers(-6, 6), min_size=order, max_size=order))
     phi = Series1([lead, *tail])
-    rows = _burmann_rows([[x.numerator] for x in phi.coeffs[:order]], order)
+    rows = _burmann_rows([x.numerator for x in phi.coeffs], order)
+    assert _burmann_rows([x.numerator for x in phi.coeffs[:order]], order) == rows
     want, want_den = _power_rows(_lagrange(phi).shift_up(), order)
     assert len(rows) == len(want) == order + 1
     assert all(type(x) is int for row in rows for x in row)
@@ -319,12 +323,15 @@ def test_kernels_return_reduced_grids(box, data):
 
 # one division replaced the reciprocal of the divisor followed by a product
 # with the numerator; the two-pass route checks it on integer grids up to
-# (8, 8), one-column grids among them: the kernel on corner 1, the public
-# reciprocal and the fraction-free division it replaced on corners that
-# make every power of a0 count
+# (12, 12): the kernel on corner 1, the public reciprocal and the
+# fraction-free division it replaced on corners that make every power of a0
+# count.  The division runs row by row, and receives one row (the marginals
+# and Series1), one column and full grids, among them the inverse's divisor,
+# which is zero on row 0 and column 0 beyond the corner
 
 
-DIVIDE_BOXES = [(0, 0), (1, 0), (4, 0), (8, 0), (0, 3), (2, 2), (3, 5), (6, 4), (8, 8)]
+DIVIDE_BOXES = [(0, 0), (1, 0), (4, 0), (8, 0), (0, 3), (2, 2), (3, 5), (6, 4), (8, 8),
+                (0, 7), (7, 0), (3, 9), (12, 12)]
 ints = st.integers(-30, 30)
 
 
@@ -351,8 +358,28 @@ def test_divide_matches_two_pass_quotient(box, shape, data):
     assert fraction_free_divide(num, a, den) == two_pass_divide(num, a, den)
     b, d = two_pass_reciprocal(a, den)
     assert _reciprocal(a, den) == [[F(x, d) for x in row] for row in b]
-    a[0][0] = 1
-    assert _divide(num, a) == two_pass_divide(num, a, 1)[0]
+    inverse = [[x if i and j else 0 for j, x in enumerate(row)] for i, row in enumerate(a)]
+    inverse[0][0] = a[0][0]
+    assert fraction_free_divide(num, inverse, den) == two_pass_divide(num, inverse, den)
+    for divisor in (a, inverse):
+        divisor[0][0] = 1
+        assert _divide(num, divisor) == two_pass_divide(num, divisor, 1)[0]
+
+
+@pytest.mark.parametrize("k", [0, 1, 10])
+@pytest.mark.parametrize("lead", [0, 1, -3])
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_power_loop_matches_convolve_powers(k, lead, data):
+    # the one power loop of _burmann_rows and _power_rows, against the
+    # products of one-column grids it replaced; lead 0 is a substituted
+    # series, the others a Buermann row phi
+    f = [lead] + data.draw(st.lists(ints, min_size=0, max_size=11))
+    col, power, want = [[x] for x in f], [[1]] + [[0]] * (len(f) - 1), []
+    for _ in range(k):
+        power = _convolve(power, col, len(f) - 1, 0)
+        want.append([x for (x,) in power])
+    assert _powers(f, k) == want
 
 
 @pytest.mark.parametrize("corner", [F(1), F(-1), F(2), F(-3), F(5, 2), F(-7, 3)])
