@@ -142,6 +142,7 @@ def compute_partial_r(table: TwoBandsTable) -> PartialRTable:
     S = H(ka, kb), S(z, 0) = 1 + z ra and S(0, w) = 1 + w rb exactly, so R
     is S(z, 0) + S(0, w) - 1 - S(z, 0) S(0, w) / S, S an integer grid.
     """
+    _require_corner(table, 1)
     c = _denominator(table.values)
     return PartialRTable(_unweighted(_forward(_weighted(table.values, c), *table.box), c))
 
@@ -156,6 +157,7 @@ def partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
     t ha = t pa(t ha), so the powers of t ha are the Lagrange-Buermann
     rows of pa's integer row, and likewise for b.
     """
+    _require_corner(r, 0)
     c = _denominator(r.values)
     return TwoBandsTable(_unweighted(_inverse(_weighted(r.values, c), *r.box), c))
 
@@ -168,6 +170,8 @@ def biconvolve(t1: TwoBandsTable, t2: TwoBandsTable) -> TwoBandsTable:
     one inverse on integers: both tables share one weight c, so their
     cumulant grids simply add.
     """
+    _require_corner(t1, 1)
+    _require_corner(t2, 1)
     if t1.box != t2.box:
         raise BoxMismatch(f"boxes differ: {t1.box} vs {t2.box}")
     c = _denominator(t1.values, t2.values)
@@ -182,5 +186,6 @@ def mixed_cumulants_vanish(table: TwoBandsTable) -> bool:
     Holds exactly when the left and right variable are classically
     independent as far as the box can see.
     """
+    _require_corner(table, 1)
     r = _forward(_weighted(table.values, _denominator(table.values)), *table.box)
     return not any(x for row in r[1:] for x in row[1:])

@@ -7,15 +7,15 @@ variables), so the order of a value always states how far its coefficients
 are meaningful.  Higher coefficients of a truncation are *unknown*, not
 zero; for that reason series can be truncated but never padded.
 
+One loop, _convolve, multiplies two series of ints or Fractions: the
+one-variable product and _powers, the power loop of both Lagrange steps,
+run on it, and the tower's step _lagrange is the diagonal of the powers.
 The two-variable product, and the reciprocal and substitution in both
-classes, run on Python ints: each operand grid is scaled to integers over
-the LCM of its denominators, and one Fraction is built per output
-coefficient.  The kernels take and return integer grids, with no
-denominator: _divide divides by a grid with corner 1, _substitute takes
-integer power rows, and _burmann_rows builds those of the solution f of
-f = z phi(f) from an integer row phi.  A reciprocal with another corner
-a0 first weights its grid by powers of a0.  A one-variable series enters
-these kernels as a flat row, never as a one-column grid.
+classes, run on Python ints over the LCM of each operand's denominators,
+with one Fraction built per output coefficient.  The kernels take and
+return integer grids: _divide divides by a grid with corner 1, _substitute
+takes the power rows of _power_rows and _burmann_rows, and a one-variable
+series enters each kernel as a flat row, never as a one-column grid.
 
 Values are immutable and hashable and may be shared freely between threads.
 """
@@ -140,22 +140,11 @@ class Series1:
         return (-self) + other
 
     def __mul__(self, other):
-        # Stays on Fraction, as does _lagrange.  A prototype with this product
-        # on _convolve and _lagrange on integer powers passed every test and
-        # ran the perfbench tower workload (seed 1) 4.5x faster, 809 -> 3622
-        # ops/s, but its peak_rss_mb rose 13%, 19.88 -> 22.46 MB, against a
-        # 5% bound: perfbench keeps one latency per op run, and the op runs
-        # went 16871 -> 88085.  It waits for a harness whose memory does not
-        # grow with op runs (ROADMAP item 1).
         if not isinstance(other, Series1):
             c = as_fraction(other)
             return Series1(tuple(c * v for v in self.coeffs))
-        n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n + 1):
-            out.append(sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)))
-        return Series1(out)
+        return Series1(_convolve([a], [b], 0, min(self.order, other.order))[0])
 
     __rmul__ = __mul__
 
@@ -194,16 +183,16 @@ class Series1:
 def _lagrange(phi: Series1) -> Series1:
     """The unit series u with u = phi(t*u), to phi's order; phi(0) != 0.
 
-    Lagrange inversion: [t^k] u = [z^k] phi^(k+1) / (k+1), so phi.order
-    products give every coefficient, with no composition.  Both directions
-    of the transform tower are this one step.
+    Lagrange inversion: [t^k] u = [z^k] phi^(k+1) / (k+1), the diagonal of
+    the powers of phi's row, with no composition.  Both directions of the
+    transform tower are this one step.
     """
-    power = phi
-    out = [phi.coeffs[0]]
-    for k in range(1, phi.order + 1):
-        power = power * phi
-        out.append(power.coeffs[k] / (k + 1))
-    return Series1(out)
+    # Stays on Fraction: on the integer powers of phi's scaled row, a prototype
+    # ran the perfbench tower workload (seed 1) 4.5x faster, 809 -> 3622 ops/s,
+    # but peak_rss_mb rose 13%, 19.88 -> 22.46 MB, against a 5% bound, as
+    # perfbench keeps one latency per op run (16871 -> 88085 op runs).  It
+    # waits for a harness whose memory does not grow with them (ROADMAP item 1).
+    return Series1([p[k] / (k + 1) for k, p in enumerate(_powers(phi.coeffs, phi.order + 1))])
 
 
 class Series2:
@@ -401,7 +390,7 @@ def _fractions(ints, den):
 
 
 def _convolve(a, b, m, n):
-    """The integer grid of the product of integer grids a and b on the box (m, n)."""
+    """The product of grids a and b of ints or Fractions on the box (m, n); a row f is [f]."""
     out = []
     for p in range(m + 1):
         row = [0] * (n + 1)
@@ -419,10 +408,12 @@ def _convolve(a, b, m, n):
 def _power_rows(f: Series1, k: int):
     """(rows, den) with rows[p][i] / den = [z^i] f^p for p, i <= min(k, f.order).
 
-    f must vanish at 0.  The powers of f's integer row come from _powers,
-    and row p is scaled by d^(k-p) so that every row shares the
-    denominator den = d^k.
+    f must be a Series1 that vanishes at 0.  The powers of f's integer row
+    come from _powers, and row p is scaled by d^(k-p) so that every row
+    shares the denominator den = d^k.
     """
+    if not isinstance(f, Series1):
+        raise TypeError(f"substituted series must be a Series1, got {type(f).__name__}")
     if f.coeffs[0] != 0:
         raise NonzeroConstantSubstitution("substituted series must vanish at 0")
     k = min(k, f.order)
@@ -433,16 +424,10 @@ def _power_rows(f: Series1, k: int):
 
 
 def _powers(f, k):
-    """[f, f^2, ..., f^k] for an integer row f, each power cut to len(f) entries."""
-    power, out = f, []
-    for p in range(k):
-        if p:
-            prev, power = power, [0] * len(f)
-            for i, x in enumerate(prev):
-                if x:
-                    for j, y in enumerate(f[: len(f) - i], i):
-                        power[j] += x * y
-        out.append(power)
+    """[f, f^2, ..., f^k] for a row f of ints or Fractions, each cut to len(f) entries."""
+    out = [f] if k else []
+    for _ in range(1, k):
+        out.append(_convolve([out[-1]], [f], 0, len(f) - 1)[0])
     return out
 
 

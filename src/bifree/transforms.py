@@ -70,6 +70,8 @@ def r_to_moments(r: Series1, order: int) -> tuple[Fraction, ...]:
     ``order`` coefficients, that is be of order at least ``order - 1``.
     The moment series h solves h = p(t*h) for p = 1 + t*r(t).
     """
+    if not isinstance(r, Series1):
+        raise TypeError(f"the cumulant series must be a Series1, got {type(r).__name__}")
     check_orders(order)
     if order == 0:
         return (Fraction(1),)

@@ -24,7 +24,7 @@ from bifree.oracle import (
 )
 from bifree.partial_r import PartialRTable, TwoBandsTable, biconvolve, compute_partial_r
 from bifree.rank1 import NotRank1, Rank1System, UnsupportedIndexSets
-from bifree.series import NotInvertible, Series1, Series2, ZeroConstantTerm, _convolve, _scaled
+from bifree.series import NotInvertible, Series1, Series2, ZeroConstantTerm, _scaled
 from bifree.transforms import _marginal, moments_to_r, r_to_moments
 
 
@@ -221,13 +221,30 @@ def fraction_reciprocal1(f: Series1) -> Series1:
     return Series1(out)
 
 
+def fraction_mul1(a, b) -> list:
+    """The product of coefficient rows a and b of ints or Fractions, cut to
+    the shorter row, as the sum of a[i] b[k - i] over i <= k."""
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), 0) for k in range(min(len(a), len(b)))]
+
+
+def fraction_lagrange(phi: Series1) -> Series1:
+    """The unit series u with u = phi(t*u): [t^k] u = [z^k] phi^(k+1) / (k+1),
+    each power of phi one more Fraction product."""
+    power = phi.coeffs
+    out = [phi.coeffs[0]]
+    for k in range(1, phi.order + 1):
+        power = fraction_mul1(power, phi.coeffs)
+        out.append(power[k] / (k + 1))
+    return Series1(out)
+
+
 def horner_compose(f: Series1, g: Series1) -> Series1:
     """f(g(t)) by Horner's rule in Fractions, to order min(f.order, g.order)."""
     n = min(f.order, g.order)
     g = g.truncate(n)
     acc = Series1([f.coeffs[n]] + [0] * n)
     for k in range(n - 1, -1, -1):
-        acc = acc * g + f.coeffs[k]
+        acc = Series1(fraction_mul1(acc.coeffs, g.coeffs)) + f.coeffs[k]
     return acc
 
 
@@ -235,7 +252,7 @@ def _powers(f: Series1, count: int):
     """[1, f, f^2, ..., f^count] truncated to f's order."""
     out = [Series1([1] + [0] * f.order)]
     for _ in range(count):
-        out.append(out[-1] * f)
+        out.append(Series1(fraction_mul1(out[-1].coeffs, f.coeffs)))
     return out
 
 
@@ -304,7 +321,8 @@ def two_pass_divide(num, a, den):
     """(ints, den) of (num / den) / a as two passes: the reciprocal of a,
     then its product with num."""
     inverse, d = two_pass_reciprocal(a, 1)
-    return _reduced(_convolve(num, inverse, len(a) - 1, len(a[0]) - 1), den * d)
+    product = fraction_mul(Series2(num), Series2(inverse))
+    return _reduced([[x.numerator for x in row] for row in product.values], den * d)
 
 
 # The two-bands maps on integer grids over one denominator, (ints, den),
@@ -368,12 +386,12 @@ def fraction_free_burmann_rows(phi, d, k):
     lcm_n = lcm(*range(1, k + 1))
     den = d**k * lcm_n
     rows = [[den] + [0] * k] + [[0] * (k + 1) for _ in range(k)]
-    power = [[1]] + [[0] for _ in range(k - 1)]
+    row, power = [x for (x,) in phi], [1] + [0] * (k - 1)
     for n in range(1, k + 1):
-        power = _convolve(power, phi, k - 1, 0)
+        power = fraction_mul1(power, row)
         scale = d ** (k - n) * (lcm_n // n)
         for p in range(1, n + 1):
-            rows[p][n] = p * power[n - p][0] * scale
+            rows[p][n] = p * power[n - p] * scale
     return rows, den
 
 

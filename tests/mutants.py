@@ -62,6 +62,8 @@ WEIGHT_TEST = "tests/test_partial_r.py::test_weight_scale_maps_match_fraction_fr
 RECURSION_TEST = "tests/test_rank1.py::test_int_recursion_matches_fraction_route"
 ZERO_TEST = "tests/test_rank1.py::test_stored_zero_moments_skip_the_phi_fallback"
 LAGRANGE_TEST = "tests/test_series.py::test_lagrange_solves_its_fixed_point"
+MUL1_TEST = "tests/test_series.py::test_series1_product_matches_fraction_mul1"
+CORNER_TEST = "tests/test_partial_r.py::test_maps_check_the_corner_of_a_plain_series"
 INT_TABLES_TEST = "tests/test_oracle.py::test_int_tables_match_fraction_route"
 EXTRACTION_TEST = "tests/test_rank1.py::test_int_extraction_matches_fraction_route"
 LETTERS_TEST = "tests/test_rank1.py::test_mixed_moment_rejects_malformed_letters"
@@ -120,11 +122,22 @@ MUTANTS = [
      "rows = [[1] + [0] * k]",
      "rows = [[0] + [0] * k]",
      (BURMANN_TEST,)),
-    # the one power loop of _burmann_rows and _power_rows starts from phi
+    # the one power loop of _burmann_rows, _power_rows and _lagrange starts
+    # from f and multiplies the last power by f
     ("powers-start-from-1", SERIES,
-     "power, out = f, []",
-     "power, out = [1] + [0] * (len(f) - 1), []",
+     "out = [f] if k else []",
+     "out = [[1] + [0] * (len(f) - 1)] if k else []",
      (POWERS_TEST, BURMANN_TEST)),
+    ("powers-square-of-f", SERIES,
+     "_convolve([out[-1]], [f], 0, len(f) - 1)",
+     "_convolve([f], [f], 0, len(f) - 1)",
+     (POWERS_TEST,)),
+    # the one-variable product on the one product loop truncates to the
+    # smaller order
+    ("mul1-order-from-self", SERIES,
+     "_convolve([a], [b], 0, min(self.order, other.order))",
+     "_convolve([a], [b], 0, self.order)",
+     (MUL1_TEST,)),
     # the two-bands maps weight entry (p, q) by c^(p+q), and biconvolve
     # weights both tables by one c
     ("weight-c-to-the-p", PARTIAL_R,
@@ -135,6 +148,11 @@ MUTANTS = [
      "c = _denominator(t1.values, t2.values)",
      "c = _denominator(t1.values)",
      (WEIGHT_TEST,)),
+    # every map checks the corner of a plain Series2 it is given
+    ("biconvolve-second-corner-unchecked", PARTIAL_R,
+     "    _require_corner(t2, 1)\n",
+     "",
+     (CORNER_TEST,)),
     # the rank-1 recursion on ints over powers of one scale D: a left letter
     # carries D^2, a correction (phi D)(lam D), and the moment is over D^(2L+1)
     ("rank1-left-letter-carries-d", RANK1,
@@ -189,8 +207,8 @@ MUTANTS = [
     # the tower: [t^k] u = [z^k] phi^(k+1) / (k+1), the sum of two marginals
     # is pa + pb - 1, and p = 1/u
     ("lagrange-divisor-k", SERIES,
-     "out.append(power.coeffs[k] / (k + 1))",
-     "out.append(power.coeffs[k] / k)",
+     "p[k] / (k + 1) for k, p in enumerate",
+     "p[k] / max(k, 1) for k, p in enumerate",
      (LAGRANGE_TEST,)),
     ("free-convolve-without-minus-one", TRANSFORMS,
      "_marginal(b[: n + 1])[1] - 1)",

@@ -45,6 +45,31 @@ def test_corner_invariants():
         PartialRTable([[1, 0], [0, 0]])
 
 
+@pytest.mark.parametrize("corner", [0, 1, 2])
+def test_maps_check_the_corner_of_a_plain_series(corner):
+    # the kernels assume the (0, 0) entry of a moment table is 1 and read
+    # none of a cumulant table's, so a plain Series2 with another corner is
+    # refused at the entry of every map, not turned into a wrong table
+    grid = [[corner, 2], [3, 5]]
+    table, series = TwoBandsTable([[1, 2], [3, 5]]), Series2(grid)
+    moment_calls = (lambda: compute_partial_r(series), lambda: mixed_cumulants_vanish(series),
+                    lambda: biconvolve(series, table), lambda: biconvolve(table, series))
+    for call in moment_calls:
+        if corner == 1:
+            call()
+        else:
+            with pytest.raises(BadNormalization, match=r"entry \(0, 0\) = 1"):
+                call()
+    assert compute_partial_r(Series2([[1, 2], [3, 5]])) == compute_partial_r(table)
+    if corner == 0:
+        assert partial_r_to_moments(series) == partial_r_to_moments(PartialRTable(grid))
+    else:
+        with pytest.raises(BadNormalization, match=r"entry \(0, 0\) = 0"):
+            partial_r_to_moments(series)
+    with pytest.raises(BadNormalization):
+        compute_partial_r(compute_partial_r(table))
+
+
 def test_table_equals_only_its_own_type():
     grid = [[1, 2], [3, 4]]
     moments = TwoBandsTable(grid)

@@ -104,6 +104,13 @@ def test_the_oracle_imports_no_series_kernel():
                         assert not alias.name.startswith("_") or source == "bifree.oracle", where
 
 
+def test_the_test_oracles_share_no_product_loop():
+    # the reference algorithms check the one product loop and the power
+    # loop built on it, so they multiply with loops of their own
+    used = _uses(ROOT / "tests" / "helpers.py")
+    assert not used & {("bifree.series", "_convolve"), ("bifree.series", "_powers")}
+
+
 def test_partial_r_stays_on_integer_grids():
     # Both two-variable maps run on integer grids on the weight scale, with
     # no denominator, from the weighted table to the output: the

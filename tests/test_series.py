@@ -14,7 +14,6 @@ from bifree.series import (
     Series2,
     ZeroConstantTerm,
     _burmann_rows,
-    _convolve,
     _divide,
     _fractions,
     _lagrange,
@@ -29,7 +28,9 @@ from helpers import (
     fraction_free_divide,
     fraction_free_reciprocal,
     fraction_free_substitute,
+    fraction_lagrange,
     fraction_mul,
+    fraction_mul1,
     fraction_reciprocal,
     fraction_reciprocal1,
     fraction_substitute,
@@ -177,7 +178,8 @@ def test_lagrange_solves_its_fixed_point(order, lead, data):
 @settings(max_examples=3, deadline=None)
 def test_burmann_rows_match_lagrange_power_rows(order, lead, data):
     # The power rows of f = t u, u = phi(t u), straight from the powers of
-    # phi, against reversion by the Fraction Lagrange step and a power loop.
+    # phi, against reversion by the Lagrange step of separate Fraction
+    # products (fraction_lagrange) and a power loop.
     # Lead 1 is the row of both maps on the weight scale; the others check
     # that every division by n stays exact for any integer row.  Only
     # phi's first `order` coefficients may be read: the kernel gets all
@@ -186,7 +188,7 @@ def test_burmann_rows_match_lagrange_power_rows(order, lead, data):
     phi = Series1([lead, *tail])
     rows = _burmann_rows([x.numerator for x in phi.coeffs], order)
     assert _burmann_rows([x.numerator for x in phi.coeffs[:order]], order) == rows
-    want, want_den = _power_rows(_lagrange(phi).shift_up(), order)
+    want, want_den = _power_rows(fraction_lagrange(phi).shift_up(), order)
     assert len(rows) == len(want) == order + 1
     assert all(type(x) is int for row in rows for x in row)
     assert [[F(x) for x in row] for row in rows] == [
@@ -230,6 +232,16 @@ def test_substitute_rejects_constant():
         h.substitute(Series1([1, 1]), Series1([0, 1]))
     with pytest.raises(NonzeroConstantSubstitution):
         Series1([1, 2]).compose(Series1([1, 1]))
+
+
+def test_inner_series_must_be_series1():
+    # a tuple or list in place of an inner series is refused by name, not
+    # by an attribute lookup inside the kernels
+    for call in (lambda: Series1([1, 2, 3]).compose((0, 1, 0)),
+                 lambda: Series2([[1, 0], [0, 1]]).substitute((0, 1), Series1([0, 1])),
+                 lambda: Series2([[1, 0], [0, 1]]).substitute(Series1([0, 1]), [0, 1])):
+        with pytest.raises(TypeError, match="Series1"):
+            call()
 
 
 @given(series2((2, 2)))
@@ -371,15 +383,51 @@ def test_divide_matches_two_pass_quotient(box, shape, data):
 @given(data=st.data())
 @settings(max_examples=5, deadline=None)
 def test_power_loop_matches_convolve_powers(k, lead, data):
-    # the one power loop of _burmann_rows and _power_rows, against the
-    # products of one-column grids it replaced; lead 0 is a substituted
+    # the one power loop of _burmann_rows, _power_rows and _lagrange, against
+    # powers by the helpers' own sum loop, on ints; lead 0 is a substituted
     # series, the others a Buermann row phi
     f = [lead] + data.draw(st.lists(ints, min_size=0, max_size=11))
-    col, power, want = [[x] for x in f], [[1]] + [[0]] * (len(f) - 1), []
+    power, want = [1] + [0] * (len(f) - 1), []
     for _ in range(k):
-        power = _convolve(power, col, len(f) - 1, 0)
-        want.append([x for (x,) in power])
+        power = fraction_mul1(power, f)
+        want.append(power)
     assert _powers(f, k) == want
+
+
+# the one-variable product and the tower's Lagrange step run on the one
+# product loop; the Fraction sum loop and the step of separate products that
+# they replaced check them
+
+
+@pytest.mark.parametrize("zeros", [(0, 0), (1, 0), (0, 2), (3, 4)])
+@pytest.mark.parametrize("orders", [(0, 0), (0, 5), (5, 0), (3, 8), (8, 3), (7, 7)])
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_series1_product_matches_fraction_mul1(orders, zeros, data):
+    # unequal orders truncate to the smaller one; leading zero coefficients
+    # make the loop skip entries
+    f, g = (Series1([0] * z + data.draw(st.lists(entries, min_size=k + 1, max_size=k + 1)))
+            .truncate(k) for k, z in zip(orders, zeros))
+    got = f * g
+    assert got.order == min(orders)
+    assert got == Series1(fraction_mul1(f.coeffs, g.coeffs))
+    assert g * f == got
+
+
+@pytest.mark.parametrize("lead", [F(1), F(-3), F(5, 2)])
+@pytest.mark.parametrize("order", range(13))
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_lagrange_matches_fraction_lagrange(order, lead, data):
+    tail = data.draw(st.lists(entries, min_size=order, max_size=order))
+    phi = Series1([lead, *tail])
+    assert _lagrange(phi) == fraction_lagrange(phi)
+
+
+def test_fraction_mul1_keeps_int_rows_ints():
+    assert fraction_mul1([1, 2, 0], [3, -1, 4, 5]) == [3, 5, 2]
+    assert all(type(x) is int for x in fraction_mul1([0, 0], [7, 8]))
+    assert fraction_mul1([F(1, 2)], [F(2, 3), 5]) == [F(1, 3)]
 
 
 @pytest.mark.parametrize("corner", [F(1), F(-1), F(2), F(-3), F(5, 2), F(-7, 3)])

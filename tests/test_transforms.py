@@ -46,6 +46,14 @@ def test_normalization_enforced():
         free_convolve1([1, 1], [0, 1])
 
 
+def test_cumulant_series_must_be_series1():
+    # a plain sequence is refused by name, not by an attribute lookup inside
+    for order in (0, 2):
+        with pytest.raises(TypeError, match="Series1"):
+            r_to_moments([1, 2], order)
+    assert r_to_moments(Series1([1, 2]), 2) == (1, 1, 3)
+
+
 def test_point_mass_cumulants():
     c = F(5, 3)
     r = moments_to_r([c**n for n in range(6)])
