@@ -12,7 +12,9 @@ Inputs and outputs are the JSON documents of :mod:`bifree.io`; output is
 deterministic, so identical inputs give byte-identical files.  Exit codes:
 0 success, 1 a selfcheck failed, 2 parse or usage errors, 3 bad
 normalization, 4 box mismatch, 5 two-bands cap exceeded.  ``--seed``
-defaults to 0 and ``--size`` to 2.
+defaults to 0 and ``--size`` to 2.  The console script, :func:`entry`,
+reads and writes numbers of any length; :func:`main` keeps the
+interpreter's limit on int <-> str digits.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from .transforms import BadNormalization
 __all__ = ["main", "entry"]
 
 
-def _load_table(path) -> TwoBandsTable:
+def _load(path, cls, kind):
     obj = load_path(path)
-    if not isinstance(obj, TwoBandsTable):
-        raise ParseError(f"{path}: expected a two_bands_pair document")
+    if not isinstance(obj, cls):
+        raise ParseError(f"{path}: expected a {kind} document")
     return obj
 
 
@@ -45,7 +47,7 @@ def _emit(args, text: str):
 
 
 def cmd_cumulants(args) -> int:
-    table = _load_table(args.input)
+    table = _load(args.input, TwoBandsTable, "two_bands_pair")
     if args.box is not None:
         table = table.truncate(args.box[0], args.box[1])
     _emit(args, to_json(compute_partial_r(table)))
@@ -53,14 +55,14 @@ def cmd_cumulants(args) -> int:
 
 
 def cmd_convolve(args) -> int:
-    _emit(args, to_json(biconvolve(_load_table(args.a), _load_table(args.b))))
+    a = _load(args.a, TwoBandsTable, "two_bands_pair")
+    b = _load(args.b, TwoBandsTable, "two_bands_pair")
+    _emit(args, to_json(biconvolve(a, b)))
     return 0
 
 
 def cmd_moment(args) -> int:
-    system = load_path(args.system)
-    if not isinstance(system, Rank1System):
-        raise ParseError(f"{args.system}: expected a rank1_system document")
+    system = _load(args.system, Rank1System, "rank1_system")
     print(mixed_moment(system, parse_word(args.word)))
     return 0
 
@@ -132,6 +134,11 @@ def main(argv=None) -> int:
 
 
 def entry():
+    # the console script writes every exact output, so it lifts the
+    # interpreter's limit on int <-> str digits for its own process; main(),
+    # which other programs call in process, keeps it
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     raise SystemExit(main())
 
 

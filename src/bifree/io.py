@@ -7,7 +7,9 @@ outright so generic tooling can never corrupt a value.  Documents carry a
 inputs, plus ``partial_r_table`` for emitted cumulant tables.  Unknown
 fields and objects that repeat a key are rejected, and serialization is
 canonical (sorted keys, two-space indent), so parse -> serialize -> parse
-is the identity and equal data always produces byte-identical files.
+is the identity and equal data always produces byte-identical files.  Both
+directions keep the interpreter's limit on int <-> str digits, which the
+``bifree`` console script lifts for its own process.
 
 Words over the variables are whitespace-separated letters: ``a<label>`` for
 left, ``b<label>`` for right, labels in ASCII digits, e.g. ``"a1 b2 a1"``;

@@ -55,6 +55,9 @@ __all__ = [
 
 
 def _require_corner(table, corner):
+    if not isinstance(table, Series2):
+        kind = "TwoBandsTable" if corner else "PartialRTable"
+        raise TypeError(f"the table must be a {kind}, got {type(table).__name__}")
     if table.values[0][0] != corner:
         raise BadNormalization(
             f"{type(table).__name__} needs entry (0, 0) = {corner}, got {table.values[0][0]}"
@@ -90,13 +93,6 @@ class PartialRTable(Series2):
         super().__init__(values)
         _require_corner(self, 0)
 
-    def a_cumulants(self) -> tuple[Fraction, ...]:
-        """Free cumulants of the left marginal: entry m is the m-th cumulant."""
-        return tuple(row[0] for row in self.values)
-
-    def b_cumulants(self) -> tuple[Fraction, ...]:
-        return self.values[0]
-
 
 def _weighted(grid, c):
     """The integer grid c^(p+q) grid[p][q], for c a multiple of every denominator."""
@@ -127,7 +123,6 @@ def _inverse(rho, m, n):
     """The moment grid whose cumulant grid is rho on the box (m, n), both on the weight scale."""
     a, b = [1] + [row[0] for row in rho[1:]], [1] + rho[0][1:]  # 1 + R[0][0] = 1
     grid = [[-x if i and j else 0 for j, x in enumerate(row)] for i, row in enumerate(rho)]
-    grid[0][0] = 1
     q = _divide([[x * y for y in b] for x in a], grid)
     return _substitute(q, _burmann_rows(a, m), _burmann_rows(b, n))
 

@@ -136,6 +136,11 @@ class Rank1System(_ReadOnly):
             )
 
 
+def _require_system(system):
+    if not isinstance(system, Rank1System):
+        raise TypeError(f"systems must be Rank1Systems, got {type(system).__name__}")
+
+
 def _fill(system, left_indices, right_indices, lam, two_bands, cap):
     """Set every slot of ``system`` from checked ``Fraction`` maps, ``lam``
     holding the nonzero coefficients; the public constructor and
@@ -196,6 +201,7 @@ def mixed_moment(system: Rank1System, word) -> Fraction:
     the stored two-bands moments.  A letter is a ``(side, label)`` tuple
     whose label is one the system declares for that side, of the same type.
     """
+    _require_system(system)
     # Every coefficient is an int over D^(2L) after L left letters (see
     # _apply_T), and phi D is an int, so the moment is one Fraction over
     # D^(2L+1).  A right letter only appends its label to every right
@@ -250,8 +256,9 @@ def biconvolve_rank1(s1: Rank1System, s2: Rank1System) -> Rank1System:
     below the cap), and every stored word needs its whole dependency
     rectangle present; a missing moment raises rather than being extrapolated.
     """
-    s1._require_single_pair()
-    s2._require_single_pair()
+    for s in (s1, s2):
+        _require_system(s)
+        s._require_single_pair()
     if s1.left_indices != s2.left_indices or s1.right_indices != s2.right_indices:
         raise UnsupportedIndexSets("systems must declare the same index labels")
     if s1.cap != s2.cap:

@@ -7,15 +7,16 @@ variables), so the order of a value always states how far its coefficients
 are meaningful.  Higher coefficients of a truncation are *unknown*, not
 zero; for that reason series can be truncated but never padded.
 
-One loop, _convolve, multiplies two series of ints or Fractions: the
-one-variable product and _powers, the power loop of both Lagrange steps,
-run on it, and the tower's step _lagrange is the diagonal of the powers.
-The two-variable product, and the reciprocal and substitution in both
-classes, run on Python ints over the LCM of each operand's denominators,
-with one Fraction built per output coefficient.  The kernels take and
-return integer grids: _divide divides by a grid with corner 1, _substitute
-takes the power rows of _power_rows and _burmann_rows, and a one-variable
-series enters each kernel as a flat row, never as a one-column grid.
+One loop, _convolve, multiplies grids of ints or Fractions, and _powers,
+the power loop of both Lagrange steps, runs on it.  The two-variable
+product (its row 0 on one-row grids is the one-variable product), and the
+reciprocal and substitution in both classes, run on Python ints over the
+LCM of each operand's denominators, with one Fraction per output
+coefficient; only the tower's step _lagrange, the diagonal of the powers,
+runs the product loop on Fractions.  The kernels take and return integer
+grids: _divide takes its divisor's corner as 1, _substitute takes the
+power rows of _power_rows and _burmann_rows, and a one-variable series
+enters each kernel as a flat row, never as a one-column grid.
 
 Values are immutable and hashable and may be shared freely between threads.
 """
@@ -143,8 +144,7 @@ class Series1:
         if not isinstance(other, Series1):
             c = as_fraction(other)
             return Series1(tuple(c * v for v in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        return Series1(_convolve([a], [b], 0, min(self.order, other.order))[0])
+        return Series1((Series2([self.coeffs]) * Series2([other.coeffs])).values[0])
 
     __rmul__ = __mul__
 
@@ -326,10 +326,11 @@ def _reciprocal(a, d):
 
 
 def _divide(num, a):
-    """The integer grid num / a for integer grids num, a on one box with a[0][0] = 1.
+    """The integer grid num / a for integer grids num, a on one box.
 
-    Row p of b is num's row p less a's rows i >= 1 times b's rows p - i, then
-    divided by a's row 0, visiting only its nonzero entries: 1, 0, ... is free.
+    a's corner a[0][0] is taken as 1 and never read.  Row p of b is num's
+    row p less a's rows i >= 1 times b's rows p - i, then divided by a's
+    row 0, visiting only its nonzero entries: 1, 0, ... is free.
     """
     head = [(j, x) for j, x in enumerate(a[0]) if j and x]
     b = []
@@ -390,7 +391,11 @@ def _fractions(ints, den):
 
 
 def _convolve(a, b, m, n):
-    """The product of grids a and b of ints or Fractions on the box (m, n); a row f is [f]."""
+    """The product of grids a and b of ints or Fractions on the box (m, n); a row f is [f].
+
+    Series2's product, whose row 0 is Series1's, runs it on ints; only
+    _lagrange, through _powers, runs it on Fractions.
+    """
     out = []
     for p in range(m + 1):
         row = [0] * (n + 1)

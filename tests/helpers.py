@@ -540,8 +540,8 @@ def reverted_subordination(m1, m2, order: int) -> tuple:
 
 def reverted_partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
     """H = Q(t ha, s hb), Q = pa pb / (pa + pb - 1 - R), with t*ha = revert(z / pa)."""
-    pa = Series1(r.a_cumulants()) + 1
-    pb = Series1(r.b_cumulants()) + 1
+    pa = Series1([row[0] for row in r.values]) + 1
+    pb = Series1(r.values[0]) + 1
     m, n = r.box
     linear = Series2.product(pa, [1] + [0] * n) + Series2.product([1] + [0] * m, pb) - 1
     q = Series2.product(pa, pb) * (linear - r).reciprocal()

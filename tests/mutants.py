@@ -67,6 +67,7 @@ CORNER_TEST = "tests/test_partial_r.py::test_maps_check_the_corner_of_a_plain_se
 INT_TABLES_TEST = "tests/test_oracle.py::test_int_tables_match_fraction_route"
 EXTRACTION_TEST = "tests/test_rank1.py::test_int_extraction_matches_fraction_route"
 LETTERS_TEST = "tests/test_rank1.py::test_mixed_moment_rejects_malformed_letters"
+SYSTEM_TEST = "tests/test_rank1.py::test_rank1_entry_points_refuse_a_value_that_is_not_a_system"
 
 # (name, file, exact old text, new text, pytest targets)
 MUTANTS = [
@@ -132,11 +133,11 @@ MUTANTS = [
      "_convolve([out[-1]], [f], 0, len(f) - 1)",
      "_convolve([f], [f], 0, len(f) - 1)",
      (POWERS_TEST,)),
-    # the one-variable product on the one product loop truncates to the
-    # smaller order
-    ("mul1-order-from-self", SERIES,
-     "_convolve([a], [b], 0, min(self.order, other.order))",
-     "_convolve([a], [b], 0, self.order)",
+    # the one-variable product is row 0 of the two-variable product of both
+    # operands
+    ("mul1-product-of-self", SERIES,
+     "Series2([self.coeffs]) * Series2([other.coeffs])",
+     "Series2([self.coeffs]) * Series2([self.coeffs])",
      (MUL1_TEST,)),
     # the two-bands maps weight entry (p, q) by c^(p+q), and biconvolve
     # weights both tables by one c
@@ -278,6 +279,22 @@ MUTANTS = [
      "        raise TypeError(f\"product must be a ProductState, got {type(product).__name__}\")\n",
      "",
      ("tests/test_oracle.py::test_sum_table_refuses_a_non_product",)),
+    # every two-bands map, mixed_moment and biconvolve_rank1 refuse a value of
+    # the wrong type by name, not by a failed attribute lookup
+    ("corner-gate-type-unchecked", PARTIAL_R,
+     "    if not isinstance(table, Series2):\n"
+     "        kind = \"TwoBandsTable\" if corner else \"PartialRTable\"\n"
+     "        raise TypeError(f\"the table must be a {kind}, got {type(table).__name__}\")\n",
+     "",
+     ("tests/test_partial_r.py::test_maps_refuse_a_value_that_is_not_a_table",)),
+    ("moment-system-unchecked", RANK1,
+     "    _require_system(system)\n",
+     "",
+     (SYSTEM_TEST,)),
+    ("biconvolve-rank1-systems-unchecked", RANK1,
+     "        _require_system(s)\n",
+     "",
+     (SYSTEM_TEST,)),
     # each selfcheck suite, disabled, must fail the test that feeds it one
     # wrong value
     ("selfcheck-subordination-disabled", SELFCHECK,
@@ -326,6 +343,11 @@ MUTANTS = [
      "(CapExceeded, 5),",
      "(CapExceeded, 2),",
      ("tests/test_io_cli.py::test_moment_cap_exceeded_exits_5",)),
+    # the console script writes outputs past the interpreter's digit limit
+    ("cli-digit-limit-kept", CLI,
+     "        sys.set_int_max_str_digits(0)\n",
+     "        pass\n",
+     ("tests/test_io_cli.py::test_console_script_writes_outputs_past_the_digit_limit",)),
     # a miss with a bad side is refused as such, not as an undeclared label
     ("refuse-letter-side-unchecked", RANK1,
      "    if letter[0] not in (LEFT, RIGHT):\n"

@@ -1,7 +1,9 @@
 """JSON round-trips and command-line behavior, including exit codes."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import bifree
 from bifree.cli import main
 from bifree.io import (
     ParseError,
@@ -21,7 +24,7 @@ from bifree.io import (
     to_json,
 )
 from bifree.oracle import LEFT, RIGHT, shift_pair_rep
-from bifree.partial_r import PartialRTable, TwoBandsTable, compute_partial_r
+from bifree.partial_r import PartialRTable, TwoBandsTable, biconvolve, compute_partial_r
 from bifree.rank1 import Rank1System, extract_system
 from bifree.selfcheck import run_selfcheck
 from bifree.series import Series1
@@ -351,6 +354,33 @@ def test_convolve_command(files, capsys):
 
 def test_convolve_box_mismatch_exits_4(files, capsys):
     assert main(["convolve", files["table"], files["small"]]) == 4
+
+
+def test_console_script_writes_outputs_past_the_digit_limit(tmp_path):
+    # entry() lifts the interpreter's int <-> str digit limit in its own
+    # process: a table with 3000-digit entries convolved with itself has
+    # entries of more than 4300 digits, and the cumulants of that output read
+    # them back; both outputs are the library's values, byte for byte
+    big = 10**2999 + 7
+    table = TwoBandsTable([[1, big], [F(big, 3), -big], [F(big, 7), 2]])
+    (tmp_path / "t.json").write_text(to_json(table), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(bifree.__file__).parent.parent))
+    for argv in (["convolve", "t.json", "t.json", "-o", "conv.json"],
+                 ["cumulants", "conv.json", "-o", "r.json"]):
+        done = subprocess.run([sys.executable, "-m", "bifree.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+    conv = biconvolve(table, table)
+    assert any(abs(x.numerator) > 10**4300 for row in conv.values for x in row)
+    if DIGIT_LIMIT:
+        sys.set_int_max_str_digits(0)
+    try:
+        want = to_json(conv), to_json(compute_partial_r(conv))
+    finally:
+        if DIGIT_LIMIT:
+            sys.set_int_max_str_digits(DIGIT_LIMIT)
+    got = tuple((tmp_path / name).read_text(encoding="utf-8") for name in ("conv.json", "r.json"))
+    assert got == want
 
 
 def test_moment_command(files, capsys):

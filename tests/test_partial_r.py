@@ -70,6 +70,19 @@ def test_maps_check_the_corner_of_a_plain_series(corner):
         compute_partial_r(compute_partial_r(table))
 
 
+def test_maps_refuse_a_value_that_is_not_a_table():
+    # a list, None or an int is refused by the type the map expects, before
+    # any attribute of it is read
+    table = TwoBandsTable([[1, 2], [3, 5]])
+    for junk in ([[1, 2], [3, 5]], None, 3):
+        for call in (compute_partial_r, mixed_cumulants_vanish, lambda t: biconvolve(t, table),
+                     lambda t: biconvolve(table, t)):
+            with pytest.raises(TypeError, match="must be a TwoBandsTable, got"):
+                call(junk)
+        with pytest.raises(TypeError, match="must be a PartialRTable, got"):
+            partial_r_to_moments(junk)
+
+
 def test_table_equals_only_its_own_type():
     grid = [[1, 2], [3, 4]]
     moments = TwoBandsTable(grid)
@@ -122,11 +135,11 @@ def test_degenerate_boxes():
     # phi(1), so the cumulant row is the marginal cumulant sequence
     t = TwoBandsTable([[1, 2, 5]])
     r = compute_partial_r(t)
-    assert r.b_cumulants() == (F(0),) + moments_to_r([1, 2, 5]).coeffs
+    assert r.values[0] == (F(0),) + moments_to_r([1, 2, 5]).coeffs
     assert partial_r_to_moments(r) == t
     t = TwoBandsTable([[1], [3], [10]])
     r = compute_partial_r(t)
-    assert r.a_cumulants() == (F(0),) + moments_to_r([1, 3, 10]).coeffs
+    assert tuple(row[0] for row in r.values) == (F(0),) + moments_to_r([1, 3, 10]).coeffs
     assert partial_r_to_moments(r) == t
     point = TwoBandsTable([[1]])
     assert compute_partial_r(point) == PartialRTable([[0]])
@@ -139,8 +152,8 @@ def test_marginal_consistency():
     r = compute_partial_r(t)
     ra = moments_to_r(t.a_moments())
     rb = moments_to_r(t.b_moments())
-    assert r.a_cumulants() == (F(0),) + ra.coeffs
-    assert r.b_cumulants() == (F(0),) + rb.coeffs
+    assert tuple(row[0] for row in r.values) == (F(0),) + ra.coeffs
+    assert r.values[0] == (F(0),) + rb.coeffs
 
 
 def test_inverse_trivial_cases():

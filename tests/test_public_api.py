@@ -7,10 +7,13 @@ carry a leading underscore instead.
 """
 
 import ast
+import copy
 import importlib
 import pkgutil
 import re
+from itertools import product
 from pathlib import Path
+from types import FunctionType
 
 import bifree
 
@@ -80,6 +83,56 @@ def test_every_exported_name_is_used_by_the_program():
         if export not in top and (name, export) not in used
     ]
     assert unused == []
+
+
+def test_every_public_method_is_used_by_the_program(monkeypatch):
+    # The same rule for methods: a public method of an exported class must be
+    # read as an attribute somewhere in the library, a demo or the benchmark
+    # harness; tests read what such a method would return off the value
+    # itself.  The methods the benchmark's tracer wraps stay where it finds them.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    pinned = {(cls, attr) for _, _, cls, attr in tracing.TARGETS if cls}
+    read = set()
+    for pattern in ("src/bifree/*.py", "demos/*.py", "perfbench/*.py"):
+        for path in sorted(ROOT.glob(pattern)):
+            read.update(node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    methods = (FunctionType, classmethod, staticmethod, property)
+    unused = [
+        f"{cls.__name__}.{name}"
+        for cls in (getattr(bifree, export) for export in bifree.__all__)
+        if isinstance(cls, type)
+        for name, value in vars(cls).items()
+        if isinstance(value, methods) and not name.startswith("_")
+        and name not in read and (cls.__name__, name) not in pinned
+    ]
+    assert unused == []
+
+
+JUNK = (None, True, 1.5, "ab", [], 3, [[1, 2], [3, 5]])
+
+
+def test_junk_arguments_raise_typed_errors():
+    # Every exported function and class, given arguments of the wrong type in
+    # one, two or three positions, either works or raises a TypeError,
+    # ValueError, ArithmeticError or LookupError: never an AttributeError or
+    # another error from inside that names no fault of the arguments.
+    leaks = {}
+    for name in bifree.__all__:
+        obj = getattr(bifree, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        for k in (1, 2, 3):
+            for args in product(JUNK, repeat=k):
+                try:
+                    obj(*copy.deepcopy(args))
+                except (TypeError, ValueError, ArithmeticError, LookupError):
+                    pass
+                except Exception as exc:
+                    leaks.setdefault(name, f"{type(exc).__name__} on {args!r}")
+    assert leaks == {}
 
 
 def test_the_oracle_imports_no_series_kernel():

@@ -651,6 +651,16 @@ def test_biconvolve_rank1_ignores_the_fill():
         assert all(out.phi((0,) * u, (0,) * v) == outs[1].values[u][v] for u, v in degrees)
 
 
+def test_rank1_entry_points_refuse_a_value_that_is_not_a_system():
+    system = random_single_pair(random.Random(60), [(2, 2)])
+    table = system.table((1, 1))
+    for junk in (None, table, [[1, 2], [3, 5]], 3):
+        for call in (lambda s: mixed_moment(s, [(LEFT, 0)]), lambda s: biconvolve_rank1(s, system),
+                     lambda s: biconvolve_rank1(system, s)):
+            with pytest.raises(TypeError, match="must be Rank1Systems, got"):
+                call(junk)
+
+
 def test_biconvolve_rank1_refusals_keep_their_messages():
     rng = random.Random(59)
     full = random_single_pair(rng, [(2, 2)])

@@ -339,7 +339,8 @@ def test_kernels_return_reduced_grids(box, data):
 # fraction-free division it replaced on corners that make every power of a0
 # count.  The division runs row by row, and receives one row (the marginals
 # and Series1), one column and full grids, among them the inverse's divisor,
-# which is zero on row 0 and column 0 beyond the corner
+# which is zero on row 0 and column 0.  The kernel takes the divisor's corner
+# as 1 and never reads it, so a corner 0 gives the same quotient
 
 
 DIVIDE_BOXES = [(0, 0), (1, 0), (4, 0), (8, 0), (0, 3), (2, 2), (3, 5), (6, 4), (8, 8),
@@ -375,7 +376,10 @@ def test_divide_matches_two_pass_quotient(box, shape, data):
     assert fraction_free_divide(num, inverse, den) == two_pass_divide(num, inverse, den)
     for divisor in (a, inverse):
         divisor[0][0] = 1
-        assert _divide(num, divisor) == two_pass_divide(num, divisor, 1)[0]
+        quotient = two_pass_divide(num, divisor, 1)[0]
+        assert _divide(num, divisor) == quotient
+        divisor[0][0] = 0
+        assert _divide(num, divisor) == quotient
 
 
 @pytest.mark.parametrize("k", [0, 1, 10])
@@ -394,9 +398,9 @@ def test_power_loop_matches_convolve_powers(k, lead, data):
     assert _powers(f, k) == want
 
 
-# the one-variable product and the tower's Lagrange step run on the one
-# product loop; the Fraction sum loop and the step of separate products that
-# they replaced check them
+# the one-variable product is row 0 of the two-variable one, and the tower's
+# Lagrange step runs on the one product loop; the Fraction sum loop and the
+# step of separate products that they replaced check them
 
 
 @pytest.mark.parametrize("zeros", [(0, 0), (1, 0), (0, 2), (3, 4)])
