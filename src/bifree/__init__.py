@@ -7,6 +7,7 @@ approximations.
 """
 
 from .series import (
+    BadNormalization,
     BoxMismatch,
     NegativeOrder,
     NonzeroConstantSubstitution,
@@ -16,7 +17,6 @@ from .series import (
     ZeroConstantTerm,
 )
 from .transforms import (
-    BadNormalization,
     free_convolve1,
     moments_to_r,
     r_to_moments,

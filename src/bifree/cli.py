@@ -26,7 +26,7 @@ from .io import ParseError, load_path, parse_word, to_json
 from .partial_r import BoxMismatch, TwoBandsTable, biconvolve, compute_partial_r
 from .rank1 import CapExceeded, Rank1System, mixed_moment
 from .selfcheck import run_selfcheck
-from .transforms import BadNormalization
+from .series import BadNormalization
 
 __all__ = ["main", "entry"]
 

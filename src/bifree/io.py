@@ -25,6 +25,7 @@ from fractions import Fraction
 from .oracle import LEFT, RIGHT
 from .partial_r import PartialRTable, TwoBandsTable
 from .rank1 import Rank1System
+from .series import BadNormalization
 
 __all__ = ["ParseError", "parse_word", "to_json", "load_path"]
 
@@ -153,7 +154,8 @@ def from_json(text: str):
     """Parse a document into its domain object.
 
     Returns a TwoBandsTable, PartialRTable or Rank1System according to the
-    document kind.
+    document kind.  A document whose values break phi(1) = 1 raises
+    BadNormalization, as the constructors do, and a malformed one ParseError.
     """
     # ValueError covers JSONDecodeError, a repeated key and an integer
     # literal over the interpreter's digit limit; RecursionError, deep nesting
@@ -202,6 +204,8 @@ def from_json(text: str):
             two_bands[(il, jl)] = rational_from_json(value)
         try:
             return Rank1System(left, right, lam, two_bands, doc["cap"])
+        except BadNormalization:
+            raise
         except ValueError as exc:
             raise ParseError(f"invalid rank1 system: {exc}") from exc
     raise ParseError(f"unknown kind {kind!r}")

@@ -278,24 +278,16 @@ def _reversed(vec: dict) -> dict:
 def shift_pair_rep(dim: int, omega) -> TwoFacedPairRep:
     """Pair (a S + b S*, c S + d S*) built from the truncated shift on Q^dim.
 
-    S moves e_i to e_{i+1} and S* back; their commutator is the state
-    projector except in the top corner, so commutation identities hold on
-    the first dim-1 basis indices and moments of words of length up to
-    2*(dim-1) are exact.
+    S is the creation operator on the full Fock space of a one-dimensional
+    Hilbert space, where left and right creation agree, so this is the
+    one-mode field pair ``gaussian_pair_rep([a], [b], [c], [d], dim - 1)``:
+    commutation identities hold on the first dim-1 basis indices and
+    moments of words of length up to 2*(dim-1) are exact.
     """
     if type(dim) is not int or dim < 2:
         raise ValueError(f"shift model needs an int dimension >= 2, got {dim!r}")
     ((a, b), (c, d)) = omega
-
-    def combo(x, y):
-        """x S + y S*: x below the diagonal, y above it."""
-        x, y = as_fraction(x), as_fraction(y)
-        return [
-            [x if r == col + 1 else y if col == r + 1 else 0 for col in range(dim)]
-            for r in range(dim)
-        ]
-
-    return TwoFacedPairRep(dim, {0: combo(a, b)}, {0: combo(c, d)}, reliable=range(dim - 1))
+    return gaussian_pair_rep([a], [b], [c], [d], dim - 1)
 
 
 def _fock_words(hilbert_dim: int, cutoff: int) -> list:

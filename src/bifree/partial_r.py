@@ -40,8 +40,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import BoxMismatch, Series2, _burmann_rows, _denominator, _divide, _substitute
-from .transforms import BadNormalization
+from .series import BadNormalization, BoxMismatch, Series2, _burmann_rows, _denominator
+from .series import _divide, _substitute
 
 __all__ = [
     "TwoBandsTable",
@@ -181,6 +181,4 @@ def mixed_cumulants_vanish(table: TwoBandsTable) -> bool:
     Holds exactly when the left and right variable are classically
     independent as far as the box can see.
     """
-    _require_corner(table, 1)
-    r = _forward(_weighted(table.values, _denominator(table.values)), *table.box)
-    return not any(x for row in r[1:] for x in row[1:])
+    return not any(x for row in compute_partial_r(table).values[1:] for x in row[1:])

@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 from .oracle import LEFT, RIGHT, TwoFacedPairRep, _box_orders, _bump, _columns, _integral
 from .oracle import _ReadOnly, _require_rep
-from .partial_r import TwoBandsTable, biconvolve
+from .partial_r import BadNormalization, TwoBandsTable, biconvolve
 from .series import as_fraction
 
 __all__ = [
@@ -67,7 +67,8 @@ class Rank1System(_ReadOnly):
     """Coefficients matrix plus two-bands-starting-left moment table.
 
     ``two_bands`` maps ``(left_labels, right_labels)`` tuples of total length
-    at most ``cap`` to exact rationals; the empty word carries phi(1) = 1.
+    at most ``cap`` to exact rationals; the empty word carries phi(1) = 1,
+    and BadNormalization refuses a table without it.
     Lookups beyond the stored range raise, they never default: the recursion
     consumes moments as long as the word it reduces, so silent extrapolation
     would fabricate answers.  Attributes cannot be reassigned after
@@ -102,7 +103,7 @@ class Rank1System(_ReadOnly):
                 raise ValueError(f"word {il + jl} uses undeclared indices")
             moments[(il, jl)] = as_fraction(v)
         if moments.get(((), ())) != 1:
-            raise ValueError("two_bands must contain the empty word with value 1")
+            raise BadNormalization("two_bands must contain the empty word with value 1")
         _fill(self, left_indices, right_indices, coefficients, moments, cap)
 
     def coefficient(self, i, j) -> Fraction:

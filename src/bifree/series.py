@@ -34,6 +34,7 @@ __all__ = [
     "NonzeroConstantSubstitution",
     "NegativeOrder",
     "BoxMismatch",
+    "BadNormalization",
 ]
 
 
@@ -55,6 +56,10 @@ class NegativeOrder(ValueError):
 
 class BoxMismatch(ValueError):
     """Operands must live on the same truncation box."""
+
+
+class BadNormalization(ValueError):
+    """Moment data must start with phi(1) = 1."""
 
 
 def check_orders(*orders):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import Series1, _lagrange, as_fraction, check_orders
+from .series import BadNormalization, Series1, _lagrange, as_fraction, check_orders
 
 __all__ = [
     "BadNormalization",
@@ -28,10 +28,6 @@ __all__ = [
     "free_convolve1",
     "subordination_series",
 ]
-
-
-class BadNormalization(ValueError):
-    """Moment data must start with phi(1) = 1."""
 
 
 def _normalize_moments(moments) -> tuple[Fraction, ...]:

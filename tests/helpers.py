@@ -16,6 +16,7 @@ from bifree.oracle import (
     LEFT,
     RIGHT,
     TruncationUnsound,
+    TwoFacedPairRep,
     _basis_vector,
     _bump,
     _inner,
@@ -46,6 +47,23 @@ def identity_matrix(dim: int) -> tuple:
 def state_projector(dim: int) -> tuple:
     """The rank-one idempotent onto the state vector e0."""
     return (_basis_vector(dim),) + ((F(0),) * dim,) * (dim - 1)
+
+
+def shift_combo(dim: int, x, y) -> list:
+    """x S + y S* on Q^dim, entry by entry, for S the truncated shift
+    e_i -> e_(i+1): x below the diagonal, y above it."""
+    x, y = F(x), F(y)
+    return [[x if r == c + 1 else y if c == r + 1 else F(0) for c in range(dim)]
+            for r in range(dim)]
+
+
+def matrix_shift_pair_rep(dim: int, omega) -> TwoFacedPairRep:
+    """The pair (a S + b S*, c S + d S*) built from its matrices, reliable on
+    the first dim-1 basis indices: the shift pair as the library built it
+    before it became the one-mode Fock pair."""
+    ((a, b), (c, d)) = omega
+    return TwoFacedPairRep(dim, {0: shift_combo(dim, a, b)}, {0: shift_combo(dim, c, d)},
+                           reliable=range(dim - 1))
 
 
 def matmul(a, b) -> tuple:

@@ -348,6 +348,36 @@ MUTANTS = [
      "        sys.set_int_max_str_digits(0)\n",
      "        pass\n",
      ("tests/test_io_cli.py::test_console_script_writes_outputs_past_the_digit_limit",)),
+    # the shift pair is the one-mode Fock pair: face a is (a S + b S*) and the
+    # cutoff keeps words of up to dim - 1 letters
+    ("shift-faces-swapped", ORACLE,
+     "return gaussian_pair_rep([a], [b], [c], [d], dim - 1)",
+     "return gaussian_pair_rep([c], [d], [a], [b], dim - 1)",
+     ("tests/test_oracle.py::test_shift_pair_is_the_one_mode_fock_pair",)),
+    ("shift-cutoff-dim", ORACLE,
+     "return gaussian_pair_rep([a], [b], [c], [d], dim - 1)",
+     "return gaussian_pair_rep([a], [b], [c], [d], dim)",
+     ("tests/test_oracle.py::test_shift_pair_is_the_one_mode_fock_pair",)),
+    ("shift-dim-check-dropped", ORACLE,
+     "    if type(dim) is not int or dim < 2:\n"
+     "        raise ValueError(f\"shift model needs an int dimension >= 2, got {dim!r}\")\n",
+     "",
+     ("tests/test_oracle.py::test_shift_pair_refusals_keep_their_messages",)),
+    # a rank-1 system without phi(1) = 1 is a BadNormalization, in the
+    # library and through a document, and exits 3
+    ("rank1-normalization-plain-value-error", RANK1,
+     'raise BadNormalization("two_bands must contain the empty word with value 1")',
+     'raise ValueError("two_bands must contain the empty word with value 1")',
+     ("tests/test_rank1.py::test_phi_of_projector_is_one",)),
+    ("json-wraps-bad-normalization", IO,
+     "        except BadNormalization:\n            raise\n",
+     "",
+     ("tests/test_io_cli.py::test_rank1_bad_normalization_exits_3",)),
+    # the two-bands maps take their error from series, not from the tower
+    ("partial-r-imports-the-tower", PARTIAL_R,
+     "from .series import BadNormalization, BoxMismatch,",
+     "from .transforms import BadNormalization\nfrom .series import BoxMismatch,",
+     ("tests/test_public_api.py::test_only_the_package_and_selfcheck_import_the_tower",)),
     # a miss with a bad side is refused as such, not as an undeclared label
     ("refuse-letter-side-unchecked", RANK1,
      "    if letter[0] not in (LEFT, RIGHT):\n"

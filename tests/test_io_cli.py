@@ -416,6 +416,23 @@ def test_bad_normalization_exits_3(tmp_path, capsys):
     assert main(["cumulants", str(path)]) == 3
 
 
+def test_rank1_bad_normalization_exits_3(tmp_path, capsys):
+    # a system whose empty word is wrong or missing breaks phi(1) = 1, as a
+    # table with corner 2 does: the document reads as BadNormalization, not
+    # as a ParseError, and the command exits 3 with the system's message
+    doc = json.loads((DATA / "shift_system.json").read_text(encoding="utf-8"))
+    wrong = {**doc["two_bands"], "": 2}
+    missing = {word: v for word, v in doc["two_bands"].items() if word}
+    path = tmp_path / "bad_norm_system.json"
+    for two_bands in (wrong, missing):
+        path.write_text(json.dumps({**doc, "two_bands": two_bands}), encoding="utf-8")
+        with pytest.raises(BadNormalization):
+            from_json(path.read_text(encoding="utf-8"))
+        assert main(["moment", str(path), "--word", "a0 b0"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: two_bands must contain the empty word with value 1\n"
+
+
 def test_selfcheck_deterministic(capsys):
     assert main(["selfcheck", "--seed", "5", "--size", "1"]) == 0
     first = capsys.readouterr().out

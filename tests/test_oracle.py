@@ -35,6 +35,7 @@ from helpers import (
     identity_matrix,
     joint_moment,
     left_action,
+    matrix_shift_pair_rep,
     mirrored_apply_right,
     nested_sum_two_bands_table,
     right_action,
@@ -425,6 +426,45 @@ def test_dimensions_and_cutoffs_must_be_ints():
             TwoFacedPairRep(3, {}, {}, reliable=reliable)
     assert TwoFacedPairRep(3, {}, {}, reliable=[2, 0, 2]).reliable == (0, 2)
     assert gaussian_pair_rep(*vectors, fock_cutoff=1).dim == 3
+
+
+def test_shift_pair_is_the_one_mode_fock_pair():
+    # shift_pair_rep builds no matrix of its own: it is the field pair of a
+    # one-dimensional Hilbert space.  The matrices of x S + y S*, written
+    # entry by entry, are its oracle, on every face and in every entry.
+    rng = random.Random(27)
+    omegas = [((1, 2), (3, 1)), ((0, 1), (1, 0)), ((1, 0), (0, 1)), ((-2, 3), (5, -7))]
+    omegas += [tuple(tuple(F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in "xy") for _ in "LR")
+               for _ in range(4)]
+    omegas.append((("3/2", -1), (F(-5, 4), "2/7")))
+    for dim in range(2, 9):
+        for omega in omegas:
+            got, want = shift_pair_rep(dim, omega), matrix_shift_pair_rep(dim, omega)
+            assert (got.dim, got.reliable) == (want.dim, want.reliable)
+            assert dict(got.left_ops) == dict(want.left_ops), (dim, omega)
+            assert dict(got.right_ops) == dict(want.right_ops), (dim, omega)
+
+
+def test_shift_pair_refusals_keep_their_messages():
+    good = ((1, 2), (3, 1))
+    for bad in (1, 0, -2, True, 2.0, "3", None):
+        message = re.escape(f"shift model needs an int dimension >= 2, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            shift_pair_rep(bad, good)
+    for omega in (((1, 0.5), (3, 1)), ((1, 2), (1.5, 1))):
+        with pytest.raises(TypeError, match="float coefficients are not allowed"):
+            shift_pair_rep(3, omega)
+    with pytest.raises(ValueError, match=re.escape("Invalid literal for Fraction: 'x'")):
+        shift_pair_rep(3, ((1, 2), ("x", 1)))
+    # a malformed omega fails where it is unpacked into two faces of two
+    # coefficients, with the interpreter's own message
+    for omega in (((1, 2), (3,)), ((1, 2),), (1, 2, 3, 4), None, ((1, 2), (3, 1), (0, 0))):
+        try:
+            ((_, _), (_, _)) = omega
+        except (TypeError, ValueError) as exc:
+            expected = exc
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            shift_pair_rep(3, omega)
 
 
 def test_shift_identity_omega_gives_shift_pair():

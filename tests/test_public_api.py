@@ -157,6 +157,21 @@ def test_the_oracle_imports_no_series_kernel():
                         assert not alias.name.startswith("_") or source == "bifree.oracle", where
 
 
+def test_only_the_package_and_selfcheck_import_the_tower():
+    # The two-bands maps, the rank-1 layer, the JSON codec and the CLI take
+    # BadNormalization from series, so no module below the package imports
+    # the one-variable tower: the tower can then run on the two-bands maps
+    # without an import cycle.  transforms still re-exports the error.
+    importers = {
+        path.name for path in (ROOT / "src" / "bifree").glob("*.py")
+        if any(module == "bifree.transforms" or (module, name) == ("bifree", "transforms")
+               for module, name in _uses(path, package="bifree"))
+    }
+    assert importers <= {"__init__.py", "selfcheck.py"}, importers
+    assert bifree.transforms.BadNormalization is bifree.series.BadNormalization
+    assert bifree.BadNormalization is bifree.series.BadNormalization
+
+
 def test_the_test_oracles_share_no_product_loop():
     # the reference algorithms check the one product loop and the power
     # loop built on it, so they multiply with loops of their own

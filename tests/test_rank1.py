@@ -29,7 +29,7 @@ from bifree.rank1 import (
     extract_system,
     mixed_moment,
 )
-from bifree.series import NegativeOrder
+from bifree.series import BadNormalization, NegativeOrder
 from helpers import (
     apply_sum,
     basis,
@@ -40,6 +40,7 @@ from helpers import (
     per_corner_biconvolve_rank1,
     rank1_from_table,
     right_action,
+    shift_combo,
 )
 
 
@@ -363,15 +364,10 @@ def test_extracted_moments_match_the_model():
     # two labels a side, so rows must be read on the right words: every
     # stored phi(a_{i1}..a_{ip} b_{j1}..b_{jq}) against a chain of matvec calls
     dim = 4
-    shift = [[int(r == c + 1) for c in range(dim)] for r in range(dim)]
-
-    def combo(x, y):
-        return [[x * shift[r][c] + y * shift[c][r] for c in range(dim)] for r in range(dim)]
-
     rep = TwoFacedPairRep(
         dim,
-        {0: combo(1, 2), 1: combo(-1, 3)},
-        {0: combo(2, -1), 1: combo(1, 1)},
+        {0: shift_combo(dim, 1, 2), 1: shift_combo(dim, -1, 3)},
+        {0: shift_combo(dim, 2, -1), 1: shift_combo(dim, 1, 1)},
         reliable=range(dim - 1),
     )
     system = extract_system(rep, cap=4)
@@ -521,9 +517,10 @@ def test_systems_are_immutable():
 
 
 def test_phi_of_projector_is_one():
-    with pytest.raises(ValueError):
+    message = "two_bands must contain the empty word with value 1"
+    with pytest.raises(BadNormalization, match=message):
         Rank1System((0,), (0,), {}, {((), ()): F(2)}, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadNormalization, match=message):
         Rank1System((0,), (0,), {}, {}, 2)
 
 
