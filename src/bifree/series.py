@@ -12,8 +12,10 @@ the power loop of both Lagrange steps, runs on it.  The two-variable
 product (its row 0 on one-row grids is the one-variable product), and the
 reciprocal and substitution in both classes, run on Python ints over the
 LCM of each operand's denominators, with one Fraction per output
-coefficient; only the tower's step _lagrange, the diagonal of the powers,
-runs the product loop on Fractions.  The kernels take and return integer
+coefficient; only _lagrange, the diagonal of the powers, runs the product
+loop on Fractions.  It is the forward step of the transform tower and of
+Series1.revert; the tower's inverse step is the two-bands inverse map on
+the box (N, 0), on integers.  The kernels take and return integer
 grids: _divide takes its divisor's corner as 1, _substitute takes the
 power rows of _power_rows and _burmann_rows, and a one-variable series
 enters each kernel as a flat row, never as a one-column grid.
@@ -189,14 +191,17 @@ def _lagrange(phi: Series1) -> Series1:
     """The unit series u with u = phi(t*u), to phi's order; phi(0) != 0.
 
     Lagrange inversion: [t^k] u = [z^k] phi^(k+1) / (k+1), the diagonal of
-    the powers of phi's row, with no composition.  Both directions of the
-    transform tower are this one step.
+    the powers of phi's row, with no composition.  The forward direction of
+    the transform tower and Series1.revert are this one step.
     """
-    # Stays on Fraction: on the integer powers of phi's scaled row, a prototype
-    # ran the perfbench tower workload (seed 1) 4.5x faster, 809 -> 3622 ops/s,
-    # but peak_rss_mb rose 13%, 19.88 -> 22.46 MB, against a 5% bound, as
-    # perfbench keeps one latency per op run (16871 -> 88085 op runs).  It
-    # waits for a harness whose memory does not grow with them (ROADMAP item 1).
+    # Stays on Fraction: with this step on the integer powers of phi's scaled
+    # row in both tower directions, one 36 s perfbench tower run (seed 1, a
+    # shared 2-vCPU host) went 980 -> 8353 ops/s, but peak_rss_mb rose 38%,
+    # 20.27 -> 27.98 MB, against a 5% bound, as perfbench keeps one latency
+    # per op run.  The inverse direction alone, now the two-bands inverse
+    # map, gave 1.64x ops/s at +2.1% peak_rss_mb over 10 interleaved pairs.
+    # The forward half waits for a harness whose memory does not grow with
+    # op runs (ROADMAP item 1).
     return Series1([p[k] / (k + 1) for k, p in enumerate(_powers(phi.coeffs, phi.order + 1))])
 
 

@@ -7,9 +7,12 @@ to the origin, and its compositional inverse ``k = revert(g)`` encodes the
 inverse Cauchy transform without a pole: ``k(z) = z*u(z)`` with ``u(0)=1``,
 and ``1/u(z) = 1 + z*r(z)`` where ``r`` is the free cumulant series.  As g
 and k are inverse, ``u = (1/h)(z*u)`` and ``h = p(t*h)`` for
-``p = 1 + t*r(t)``: each direction of the tower is one Lagrange solve of
-``u = phi(t*u)``.  Nothing is ever stored with a pole and nothing is ever
-rounded.
+``p = 1 + t*r(t)``.  Forward, u is one Lagrange solve of ``u = phi(t*u)``
+on Fractions.  Backward, the two-bands cumulants extend the free ones:
+column 0 of a cumulant table holds the left marginal's free cumulants, so
+h is column 0 of the two-bands inverse map on the box (N, 0), which runs
+on integers over the weight scale of the cumulants.  Nothing is ever
+stored with a pole and nothing is ever rounded.
 
 Moments up to order N determine cumulants up to order N-1 (one order is
 spent on the leading pole) and conversely.
@@ -19,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import BadNormalization, Series1, _lagrange, as_fraction, check_orders
+from .partial_r import _inverse, _unweighted, _weighted
+from .series import BadNormalization, Series1, _denominator, _lagrange, as_fraction, check_orders
 
 __all__ = [
     "BadNormalization",
@@ -47,6 +51,19 @@ def _marginal(moments) -> tuple[Series1, Series1]:
     return u.shift_up(), u.reciprocal()
 
 
+def _moments(col) -> tuple[Fraction, ...]:
+    """The moments h = p(t*h) of the cumulant column col = (0, r0, ..., r(N-1)) of p - 1.
+
+    col is the cumulant table on the box (N, 0), so h is column 0 of the
+    two-bands inverse map there: on the weight scale of the plain LCM c of
+    col's denominators, entry n of both columns is c^n times its value.
+    """
+    grid = [[x] for x in col]
+    c = _denominator(grid)
+    h = _inverse(_weighted(grid, c), len(grid) - 1, 0)
+    return tuple(row[0] for row in _unweighted(h, c))
+
+
 def moments_to_r(moments) -> Series1:
     """Free cumulant series of a moment sequence.
 
@@ -64,22 +81,28 @@ def r_to_moments(r: Series1, order: int) -> tuple[Fraction, ...]:
 
     Exact inverse of :func:`moments_to_r`: the cumulant series must carry
     ``order`` coefficients, that is be of order at least ``order - 1``.
-    The moment series h solves h = p(t*h) for p = 1 + t*r(t).
+    The moment series h solves h = p(t*h) for p = 1 + t*r(t): it is
+    column 0 of the two-bands inverse map on the box (order, 0), run on
+    the cumulant column (0, r0, ..., r(order-1)).
     """
     if not isinstance(r, Series1):
         raise TypeError(f"the cumulant series must be a Series1, got {type(r).__name__}")
     check_orders(order)
     if order == 0:
         return (Fraction(1),)
-    return _lagrange(r.truncate(order - 1).shift_up() + 1).coeffs
+    return _moments(r.truncate(order - 1).shift_up().coeffs)
 
 
 def free_convolve1(m1, m2) -> tuple[Fraction, ...]:
-    """Moments of the free additive convolution, to the shorter input order."""
+    """Moments of the free additive convolution, to the shorter input order.
+
+    The cumulant columns pa - 1 and pb - 1 of the two marginals add.
+    """
     a = _normalize_moments(m1)
     b = _normalize_moments(m2)
     n = min(len(a), len(b)) - 1
-    return _lagrange(_marginal(a[: n + 1])[1] + _marginal(b[: n + 1])[1] - 1).coeffs
+    pa, pb = (_marginal(m[: n + 1])[1] for m in (a, b))
+    return _moments(((pa - 1) + (pb - 1)).coeffs)
 
 
 def subordination_series(m1, m2, order: int) -> tuple[Series1, Series1]:
@@ -101,5 +124,5 @@ def subordination_series(m1, m2, order: int) -> tuple[Series1, Series1]:
         raise ValueError(f"need moments up to order {order} for both inputs")
     ka, pa = _marginal(a[: order + 1])
     kb, pb = _marginal(b[: order + 1])
-    g = _lagrange(pa + pb - 1).shift_up()
+    g = Series1(_moments(((pa - 1) + (pb - 1)).coeffs)).shift_up()
     return ka.compose(g).truncate(order), kb.compose(g).truncate(order)

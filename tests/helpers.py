@@ -26,7 +26,7 @@ from bifree.oracle import (
 from bifree.partial_r import PartialRTable, TwoBandsTable, biconvolve, compute_partial_r
 from bifree.rank1 import NotRank1, Rank1System, UnsupportedIndexSets
 from bifree.series import NotInvertible, Series1, Series2, ZeroConstantTerm, _scaled
-from bifree.transforms import _marginal, moments_to_r, r_to_moments
+from bifree.transforms import _marginal, moments_to_r
 
 
 def random_table(rng, box, lo=-3, hi=3, denominators=(1,)):
@@ -540,11 +540,12 @@ def reverted_r_to_moments(r: Series1, order: int) -> tuple:
 
 
 def cumulant_sum_convolve1(m1, m2) -> tuple:
-    """Free convolution as the moments of the summed cumulant series."""
+    """Free convolution as the moments of the summed cumulant series, taken
+    back by reversion, so that it shares no inverse step with the tower."""
     n = min(len(m1), len(m2)) - 1
     if n == 0:
         return (F(1),)
-    return r_to_moments(moments_to_r(m1[: n + 1]) + moments_to_r(m2[: n + 1]), n)
+    return reverted_r_to_moments(moments_to_r(m1[: n + 1]) + moments_to_r(m2[: n + 1]), n)
 
 
 def reverted_subordination(m1, m2, order: int) -> tuple:

@@ -62,6 +62,7 @@ WEIGHT_TEST = "tests/test_partial_r.py::test_weight_scale_maps_match_fraction_fr
 RECURSION_TEST = "tests/test_rank1.py::test_int_recursion_matches_fraction_route"
 ZERO_TEST = "tests/test_rank1.py::test_stored_zero_moments_skip_the_phi_fallback"
 LAGRANGE_TEST = "tests/test_series.py::test_lagrange_solves_its_fixed_point"
+MOMENTS_TEST = "tests/test_transforms.py::test_moments_step_matches_lagrange"
 MUL1_TEST = "tests/test_series.py::test_series1_product_matches_fraction_mul1"
 CORNER_TEST = "tests/test_partial_r.py::test_maps_check_the_corner_of_a_plain_series"
 INT_TABLES_TEST = "tests/test_oracle.py::test_int_tables_match_fraction_route"
@@ -206,23 +207,33 @@ MUTANTS = [
      "[[s.two_bands.get(((i,) * u, (j,) * v), 0) if v <= r else 0",
      ("tests/test_rank1.py::test_biconvolve_rank1_refusals_keep_their_messages",)),
     # the tower: [t^k] u = [z^k] phi^(k+1) / (k+1), the sum of two marginals
-    # is pa + pb - 1, and p = 1/u
+    # adds both cumulant columns, and p = 1/u
     ("lagrange-divisor-k", SERIES,
      "p[k] / (k + 1) for k, p in enumerate",
      "p[k] / max(k, 1) for k, p in enumerate",
      (LAGRANGE_TEST,)),
-    ("free-convolve-without-minus-one", TRANSFORMS,
-     "_marginal(b[: n + 1])[1] - 1)",
-     "_marginal(b[: n + 1])[1])",
+    ("free-convolve-one-cumulant-column", TRANSFORMS,
+     "return _moments(((pa - 1) + (pb - 1)).coeffs)",
+     "return _moments((pa - 1).coeffs)",
      ("tests/test_transforms.py::test_convolution_of_point_masses",)),
-    ("subordination-without-minus-one", TRANSFORMS,
-     "g = _lagrange(pa + pb - 1)",
-     "g = _lagrange(pa + pb)",
+    ("subordination-one-cumulant-column", TRANSFORMS,
+     "g = Series1(_moments(((pa - 1) + (pb - 1)).coeffs))",
+     "g = Series1(_moments((pa - 1).coeffs))",
      ("tests/test_transforms.py::test_subordination_of_point_masses",)),
     ("marginal-p-is-u", TRANSFORMS,
      "return u.shift_up(), u.reciprocal()",
      "return u.shift_up(), u",
      ("tests/test_transforms.py::test_point_mass_cumulants",)),
+    # the tower's inverse step: entry n of the (N, 0) box is over c^n, and
+    # the cumulant r(n) sits at entry n + 1 of the column
+    ("moments-unweighted-by-c", TRANSFORMS,
+     "_unweighted(h, c)",
+     "[[Fraction(x, c) for x in row] for row in h]",
+     (MOMENTS_TEST,)),
+    ("r-to-moments-column-offset", TRANSFORMS,
+     "_moments(r.truncate(order - 1).shift_up().coeffs)",
+     "_moments(r.truncate(order - 1).coeffs + (0,))",
+     (MOMENTS_TEST,)),
     # the oracle: entry (p, q) of a table, and an extracted moment, is exact
     # over D_L^p D_R^q, with one D_L for every factor of the left band
     ("sum-table-den-dl-only", ORACLE,
@@ -373,10 +384,13 @@ MUTANTS = [
      "        except BadNormalization:\n            raise\n",
      "",
      ("tests/test_io_cli.py::test_rank1_bad_normalization_exits_3",)),
-    # the two-bands maps take their error from series, not from the tower
+    # the two-bands maps take their error from series, not from the tower;
+    # transforms imports partial_r, so the import the other way runs late,
+    # inside the function, where it raises the same class and only the
+    # import scan sees it
     ("partial-r-imports-the-tower", PARTIAL_R,
-     "from .series import BadNormalization, BoxMismatch,",
-     "from .transforms import BadNormalization\nfrom .series import BoxMismatch,",
+     "def _require_corner(table, corner):\n",
+     "def _require_corner(table, corner):\n    from .transforms import BadNormalization\n\n",
      ("tests/test_public_api.py::test_only_the_package_and_selfcheck_import_the_tower",)),
     # a miss with a bad side is refused as such, not as an undeclared label
     ("refuse-letter-side-unchecked", RANK1,

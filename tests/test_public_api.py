@@ -172,6 +172,20 @@ def test_only_the_package_and_selfcheck_import_the_tower():
     assert bifree.BadNormalization is bifree.series.BadNormalization
 
 
+def test_the_tower_inverse_is_the_two_bands_inverse_map():
+    # h = p(t*h) is column 0 of partial_r._inverse on the box (N, 0), so
+    # the tower's inverse direction names no _lagrange; the forward
+    # marginal still solves u = (1/h)(t*u) with it
+    tree = ast.parse((ROOT / "src" / "bifree" / "transforms.py").read_text(encoding="utf-8"))
+    names = {node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("r_to_moments", "free_convolve1", "subordination_series"):
+        assert "_lagrange" not in names[name], name
+        assert "_moments" in names[name], name
+    assert "_inverse" in names["_moments"]
+    assert "_lagrange" in names["_marginal"]
+
+
 def test_the_test_oracles_share_no_product_loop():
     # the reference algorithms check the one product loop and the power
     # loop built on it, so they multiply with loops of their own

@@ -1,5 +1,6 @@
 """Moment/cumulant conversions, free convolution, subordination."""
 
+import random
 from fractions import Fraction as F
 from math import comb
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifree.series import NegativeOrder, Series1
+from bifree.series import NegativeOrder, Series1, _lagrange
 from bifree.transforms import (
     BadNormalization,
+    _moments,
     free_convolve1,
     moments_to_r,
     r_to_moments,
@@ -17,6 +19,7 @@ from bifree.transforms import (
 )
 from helpers import (
     cumulant_sum_convolve1,
+    fraction_lagrange,
     reverted_moments_to_r,
     reverted_r_to_moments,
     reverted_subordination,
@@ -168,6 +171,23 @@ def test_lagrange_tower_matches_reversion_routes(m1, m2):
     assert free_convolve1(m1, m2) == cumulant_sum_convolve1(m1, m2)
     for order in range(1, min(len(m1), len(m2))):
         assert subordination_series(m1, m2, order) == reverted_subordination(m1, m2, order)
+
+
+@pytest.mark.parametrize("dens", [(1,), (1, 2, 3), (2, 3, 5, 7)], ids=str)
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 10, 20, 40])
+def test_moments_step_matches_lagrange(order, dens):
+    # h = p(t*h) as column 0 of the two-bands inverse map on the box
+    # (N, 0), against the Lagrange step it replaced and its Fraction loop
+    rng = random.Random(100 * order + len(dens))
+    col = (F(0),) + tuple(F(rng.randint(-6, 6), rng.choice(dens)) for _ in range(order))
+    p = Series1(col) + 1
+    want = fraction_lagrange(p).coeffs
+    assert _lagrange(p).coeffs == want
+    got = _moments(col)
+    assert got == want
+    assert all(type(x) is F for x in got)
+    if order:
+        assert r_to_moments(Series1(col[1:]), order) == want
 
 
 # -- subordination --
