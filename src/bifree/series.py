@@ -13,11 +13,11 @@ product (its row 0 on one-row grids is the one-variable product), and the
 reciprocal and substitution in both classes, run on Python ints over the
 LCM of each operand's denominators, with one Fraction per output
 coefficient; only _lagrange, the diagonal of the powers, runs the product
-loop on Fractions.  It is the forward step of the transform tower and of
-Series1.revert; the tower's inverse step is the two-bands inverse map on
-the box (N, 0), on integers.  The kernels take and return integer
-grids: _divide takes its divisor's corner as 1, _substitute takes the
-power rows of _power_rows and _burmann_rows, and a one-variable series
+loop on Fractions.  It serves only moments_to_r and Series1.revert; free
+convolution, subordination and r_to_moments run on the integer two-bands
+maps on the box (N, 0) and on _burmann_rows.  The kernels take and return
+integer grids: _divide takes its divisor's corner as 1, _substitute takes
+the power rows of _power_rows and _burmann_rows, and a one-variable series
 enters each kernel as a flat row, never as a one-column grid.
 
 Values are immutable and hashable and may be shared freely between threads.
@@ -191,17 +191,19 @@ def _lagrange(phi: Series1) -> Series1:
     """The unit series u with u = phi(t*u), to phi's order; phi(0) != 0.
 
     Lagrange inversion: [t^k] u = [z^k] phi^(k+1) / (k+1), the diagonal of
-    the powers of phi's row, with no composition.  The forward direction of
-    the transform tower and Series1.revert are this one step.
+    the powers of phi's row, with no composition.  moments_to_r and
+    Series1.revert are this one step; nothing else in the program runs it.
     """
     # Stays on Fraction: with this step on the integer powers of phi's scaled
     # row in both tower directions, one 36 s perfbench tower run (seed 1, a
     # shared 2-vCPU host) went 980 -> 8353 ops/s, but peak_rss_mb rose 38%,
     # 20.27 -> 27.98 MB, against a 5% bound, as perfbench keeps one latency
-    # per op run.  The inverse direction alone, now the two-bands inverse
-    # map, gave 1.64x ops/s at +2.1% peak_rss_mb over 10 interleaved pairs.
-    # The forward half waits for a harness whose memory does not grow with
-    # op runs (ROADMAP item 1).
+    # per op run.  The inverse direction alone, on the integer (N, 0) maps,
+    # gave 1.64x tower ops/s at +2.1% peak_rss_mb; free convolution and
+    # subordination on them then gave 1.17x more (1605 -> 1877 ops/s, 10 of
+    # 10 interleaved pairs) at +0.4%.  moments_to_r, 20 of a 24 ms tower
+    # pass, waits for a harness whose memory does not grow with op runs
+    # (ROADMAP item 1).
     return Series1([p[k] / (k + 1) for k, p in enumerate(_powers(phi.coeffs, phi.order + 1))])
 
 

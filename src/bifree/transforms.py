@@ -7,12 +7,18 @@ to the origin, and its compositional inverse ``k = revert(g)`` encodes the
 inverse Cauchy transform without a pole: ``k(z) = z*u(z)`` with ``u(0)=1``,
 and ``1/u(z) = 1 + z*r(z)`` where ``r`` is the free cumulant series.  As g
 and k are inverse, ``u = (1/h)(z*u)`` and ``h = p(t*h)`` for
-``p = 1 + t*r(t)``.  Forward, u is one Lagrange solve of ``u = phi(t*u)``
-on Fractions.  Backward, the two-bands cumulants extend the free ones:
-column 0 of a cumulant table holds the left marginal's free cumulants, so
-h is column 0 of the two-bands inverse map on the box (N, 0), which runs
-on integers over the weight scale of the cumulants.  Nothing is ever
-stored with a pole and nothing is ever rounded.
+``p = 1 + t*r(t)``.
+
+The two-bands cumulants extend the free ones: a moment sequence is the
+two-bands table on the box (N, 0), whose right variable is trivial, and
+column 0 of its cumulant table holds the free cumulants.  So free additive
+convolution is bi-free additive convolution on that box, and h = p(t*h) is
+column 0 of the two-bands inverse map there; both run on integers over the
+weight scale c^n of a common denominator c.  On the same scale k is row 1
+of the Lagrange-Buermann rows of the integer reciprocal of h, which gives
+the subordination series.  Only moments_to_r still solves u = (1/h)(z*u) by
+one Lagrange step on Fractions.  Nothing is ever stored with a pole and
+nothing is ever rounded.
 
 Moments up to order N determine cumulants up to order N-1 (one order is
 spent on the leading pole) and conversely.
@@ -22,8 +28,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partial_r import _inverse, _unweighted, _weighted
-from .series import BadNormalization, Series1, _denominator, _lagrange, as_fraction, check_orders
+from .partial_r import _forward, _inverse, _unweighted, _weighted
+from .series import BadNormalization, Series1, _burmann_rows, _denominator, _divide, _lagrange
+from .series import as_fraction, check_orders
 
 __all__ = [
     "BadNormalization",
@@ -42,15 +49,6 @@ def _normalize_moments(moments) -> tuple[Fraction, ...]:
     return m
 
 
-def _marginal(moments) -> tuple[Series1, Series1]:
-    """(k, p) of a moment sequence h: k = revert(t*h) and p = 1 + z*r(z).
-
-    k = z*u with u = (1/h)(z*u), one Lagrange step, and p = 1/u.
-    """
-    u = _lagrange(Series1(moments).reciprocal())
-    return u.shift_up(), u.reciprocal()
-
-
 def _moments(col) -> tuple[Fraction, ...]:
     """The moments h = p(t*h) of the cumulant column col = (0, r0, ..., r(N-1)) of p - 1.
 
@@ -64,16 +62,32 @@ def _moments(col) -> tuple[Fraction, ...]:
     return tuple(row[0] for row in _unweighted(h, c))
 
 
+def _inverse_series(moments) -> Series1:
+    """k = revert(t*h) of a moment sequence h = (1, m1, ..., mN), to order N >= 1.
+
+    On the weight scale of the LCM c of h's denominators, h~[n] = c^n h[n]
+    and k~[n] = c^(n-1) k[n] are integer rows, and k~ = z (1/h~)(k~), so k~
+    is row 1 of the Lagrange-Buermann rows of the integer reciprocal of h~.
+    """
+    n = len(moments) - 1
+    c = _denominator([moments])
+    (h,) = _weighted([moments], c)
+    k = _burmann_rows(_divide([[1] + [0] * n], [h])[0], n)[1]
+    return Series1([0] + [Fraction(x, c ** (j - 1)) for j, x in enumerate(k[1:], 1)])
+
+
 def moments_to_r(moments) -> Series1:
     """Free cumulant series of a moment sequence.
 
     The coefficient of ``z^n`` in the result is the (n+1)-st free cumulant,
-    so moments ``(1, m1, ..., mN)`` give a series of order N-1.
+    so moments ``(1, m1, ..., mN)`` give a series of order N-1.  It is
+    p - 1 over z for p = 1/u, where u = (1/h)(z*u) is one Lagrange step.
     """
     m = _normalize_moments(moments)
     if len(m) < 2:
         raise ValueError("need at least the first moment beyond phi(1)")
-    return (_marginal(m)[1] - 1).shift_down()
+    u = _lagrange(Series1(m).reciprocal())
+    return (u.reciprocal() - 1).shift_down()
 
 
 def r_to_moments(r: Series1, order: int) -> tuple[Fraction, ...]:
@@ -96,13 +110,19 @@ def r_to_moments(r: Series1, order: int) -> tuple[Fraction, ...]:
 def free_convolve1(m1, m2) -> tuple[Fraction, ...]:
     """Moments of the free additive convolution, to the shorter input order.
 
-    The cumulant columns pa - 1 and pb - 1 of the two marginals add.
+    Column 0 of the bi-free convolution of the two sequences as tables on
+    the box (n, 0), by biconvolve's steps: one weight c, the LCM of both
+    sequences' denominators, two forward maps whose cumulant columns add,
+    and one inverse map.
     """
     a = _normalize_moments(m1)
     b = _normalize_moments(m2)
     n = min(len(a), len(b)) - 1
-    pa, pb = (_marginal(m[: n + 1])[1] for m in (a, b))
-    return _moments(((pa - 1) + (pb - 1)).coeffs)
+    grids = [[[x] for x in m[: n + 1]] for m in (a, b)]
+    c = _denominator(*grids)
+    ra, rb = (_forward(_weighted(grid, c), n, 0) for grid in grids)
+    h = _inverse([[x + y] for (x,), (y,) in zip(ra, rb)], n, 0)
+    return tuple(row[0] for row in _unweighted(h, c))
 
 
 def subordination_series(m1, m2, order: int) -> tuple[Series1, Series1]:
@@ -113,7 +133,8 @@ def subordination_series(m1, m2, order: int) -> tuple[Series1, Series1]:
     ``h(t) = h1(t1(t)) + h2(t2(t)) - 1`` exactly to that order, where ``h``
     is the moment series of the sum.  Both inputs must provide moments up to
     ``order``.  They are ``k1(t*h)`` and ``k2(t*h)`` for ``k1, k2`` the
-    inverses of ``t*h1(t)`` and ``t*h2(t)``.
+    inverses of ``t*h1(t)`` and ``t*h2(t)``, each read off its own weighted
+    moment row by Lagrange-Buermann, and h from free_convolve1.
     """
     check_orders(order)
     a = _normalize_moments(m1)
@@ -122,7 +143,6 @@ def subordination_series(m1, m2, order: int) -> tuple[Series1, Series1]:
         raise ValueError("order must be at least 1")
     if len(a) <= order or len(b) <= order:
         raise ValueError(f"need moments up to order {order} for both inputs")
-    ka, pa = _marginal(a[: order + 1])
-    kb, pb = _marginal(b[: order + 1])
-    g = Series1(_moments(((pa - 1) + (pb - 1)).coeffs)).shift_up()
-    return ka.compose(g).truncate(order), kb.compose(g).truncate(order)
+    a, b = a[: order + 1], b[: order + 1]
+    g = Series1(free_convolve1(a, b)).shift_up()
+    return _inverse_series(a).compose(g), _inverse_series(b).compose(g)

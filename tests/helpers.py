@@ -26,7 +26,7 @@ from bifree.oracle import (
 from bifree.partial_r import PartialRTable, TwoBandsTable, biconvolve, compute_partial_r
 from bifree.rank1 import NotRank1, Rank1System, UnsupportedIndexSets
 from bifree.series import NotInvertible, Series1, Series2, ZeroConstantTerm, _scaled
-from bifree.transforms import _marginal, moments_to_r
+from bifree.transforms import moments_to_r
 
 
 def random_table(rng, box, lo=-3, hi=3, denominators=(1,)):
@@ -525,10 +525,15 @@ def picard_revert(f: Series1) -> Series1:
     return g
 
 
+def reverted_marginal(moments) -> tuple:
+    """(k, p) of a moment sequence h by reversion: k = revert(t*h) and p = z / k(z) = 1 + z*r(z)."""
+    k = Series1(moments).shift_up().revert()
+    return k, k.shift_down().reciprocal()
+
+
 def reverted_moments_to_r(moments) -> Series1:
     """Cumulants by reversion: k = revert(t*h) and 1 + z*r(z) = z / k(z)."""
-    k = Series1(moments).shift_up().revert()
-    return (k.shift_down().reciprocal() - 1).shift_down()
+    return (reverted_marginal(moments)[1] - 1).shift_down()
 
 
 def reverted_r_to_moments(r: Series1, order: int) -> tuple:
@@ -571,9 +576,9 @@ def reverted_partial_r_to_moments(r: PartialRTable) -> TwoBandsTable:
 
 def framed_compute_partial_r(table: TwoBandsTable) -> PartialRTable:
     """R = (pa + pb - 1) - pa(z) pb(w) / H(ka(z), kb(w)) on public Series2 operations,
-    with (ka, pa) and (kb, pb) from the marginal tower step."""
-    ka, pa = _marginal(table.a_moments())
-    kb, pb = _marginal(table.b_moments())
+    with (ka, pa) and (kb, pb) from the reverted marginals."""
+    ka, pa = reverted_marginal(table.a_moments())
+    kb, pb = reverted_marginal(table.b_moments())
     m, n = table.box
     linear = Series2.product(pa, [1] + [0] * n) + Series2.product([1] + [0] * m, pb) - 1
     frac = table.substitute(ka, kb).reciprocal()

@@ -63,6 +63,9 @@ RECURSION_TEST = "tests/test_rank1.py::test_int_recursion_matches_fraction_route
 ZERO_TEST = "tests/test_rank1.py::test_stored_zero_moments_skip_the_phi_fallback"
 LAGRANGE_TEST = "tests/test_series.py::test_lagrange_solves_its_fixed_point"
 MOMENTS_TEST = "tests/test_transforms.py::test_moments_step_matches_lagrange"
+CONVOLVE_TEST = "tests/test_transforms.py::test_free_convolution_matches_reversion_oracle"
+SUBORDINATION_TEST = "tests/test_transforms.py::test_subordination_matches_reversion_oracle"
+INVERSE_SERIES_TEST = "tests/test_transforms.py::test_inverse_series_matches_picard_revert"
 MUL1_TEST = "tests/test_series.py::test_series1_product_matches_fraction_mul1"
 CORNER_TEST = "tests/test_partial_r.py::test_maps_check_the_corner_of_a_plain_series"
 INT_TABLES_TEST = "tests/test_oracle.py::test_int_tables_match_fraction_route"
@@ -206,24 +209,29 @@ MUTANTS = [
      "[[s.phi((i,) * u, (j,) * v) if v <= r else 0",
      "[[s.two_bands.get(((i,) * u, (j,) * v), 0) if v <= r else 0",
      ("tests/test_rank1.py::test_biconvolve_rank1_refusals_keep_their_messages",)),
-    # the tower: [t^k] u = [z^k] phi^(k+1) / (k+1), the sum of two marginals
-    # adds both cumulant columns, and p = 1/u
+    # the tower: [t^k] u = [z^k] phi^(k+1) / (k+1), and p = 1/u
     ("lagrange-divisor-k", SERIES,
      "p[k] / (k + 1) for k, p in enumerate",
      "p[k] / max(k, 1) for k, p in enumerate",
      (LAGRANGE_TEST,)),
-    ("free-convolve-one-cumulant-column", TRANSFORMS,
-     "return _moments(((pa - 1) + (pb - 1)).coeffs)",
-     "return _moments((pa - 1).coeffs)",
-     ("tests/test_transforms.py::test_convolution_of_point_masses",)),
-    ("subordination-one-cumulant-column", TRANSFORMS,
-     "g = Series1(_moments(((pa - 1) + (pb - 1)).coeffs))",
-     "g = Series1(_moments((pa - 1).coeffs))",
-     ("tests/test_transforms.py::test_subordination_of_point_masses",)),
-    ("marginal-p-is-u", TRANSFORMS,
-     "return u.shift_up(), u.reciprocal()",
-     "return u.shift_up(), u",
+    ("moments-to-r-p-is-u", TRANSFORMS,
+     "return (u.reciprocal() - 1).shift_down()",
+     "return (u - 1).shift_down()",
      ("tests/test_transforms.py::test_point_mass_cumulants",)),
+    # free convolution is biconvolve's steps on both (N, 0) grids, and
+    # k~[n] = c^(n-1) k[n] is row 1 of the Lagrange-Buermann rows
+    ("free-convolve-one-sequence-twice", TRANSFORMS,
+     "for x in m[: n + 1]] for m in (a, b)]",
+     "for x in m[: n + 1]] for m in (a, a)]",
+     (CONVOLVE_TEST,)),
+    ("inverse-series-over-c-to-the-n", TRANSFORMS,
+     "Fraction(x, c ** (j - 1))",
+     "Fraction(x, c ** j)",
+     (INVERSE_SERIES_TEST,)),
+    ("inverse-series-burmann-row-2", TRANSFORMS,
+     "[h])[0], n)[1]",
+     "[h])[0], n)[2]",
+     (INVERSE_SERIES_TEST, SUBORDINATION_TEST)),
     # the tower's inverse step: entry n of the (N, 0) box is over c^n, and
     # the cumulant r(n) sits at entry n + 1 of the column
     ("moments-unweighted-by-c", TRANSFORMS,

@@ -18,7 +18,7 @@ from bifree.partial_r import (
 )
 from bifree.partial_r import _forward, _unweighted, _weighted
 from bifree.series import NegativeOrder, Series2, _denominator
-from bifree.transforms import BadNormalization, _marginal, moments_to_r
+from bifree.transforms import BadNormalization, moments_to_r
 from helpers import (
     antidiagonal_inverse,
     fraction_free_biconvolve,
@@ -27,6 +27,7 @@ from helpers import (
     framed_compute_partial_r,
     noncrossing_cumulants,
     random_table,
+    reverted_marginal,
     reverted_partial_r_to_moments,
 )
 
@@ -200,8 +201,8 @@ def test_integer_pipeline_matches_framed_route(box, data):
     assert moments == reverted_partial_r_to_moments(r)
     assert framed_compute_partial_r(moments) == r
     # S = H(ka, kb) has the marginals pa, pb as its column 0 and row 0
-    ka, pa = _marginal(table.a_moments())
-    kb, pb = _marginal(table.b_moments())
+    ka, pa = reverted_marginal(table.a_moments())
+    kb, pb = reverted_marginal(table.b_moments())
     s = table.substitute(ka, kb)
     assert tuple(x[0] for x in s.values) == pa.coeffs
     assert s.values[0] == pb.coeffs
@@ -244,8 +245,8 @@ def test_weighted_grids_are_integral(box, data):
     rows = data.draw(st.lists(row, min_size=box[0] + 1, max_size=box[0] + 1))
     table = TwoBandsTable([[F(1)] + rows[0][1:], *rows[1:]])
     c = _denominator(table.values)
-    ka, _ = _marginal(table.a_moments())
-    kb, _ = _marginal(table.b_moments())
+    ka, _ = reverted_marginal(table.a_moments())
+    kb, _ = reverted_marginal(table.b_moments())
     s = table.substitute(ka, kb)
     weighted_s = [c ** (p + q) * x for p, row in enumerate(s.values) for q, x in enumerate(row)]
     assert weighted_s[0] == 1

@@ -172,18 +172,23 @@ def test_only_the_package_and_selfcheck_import_the_tower():
     assert bifree.BadNormalization is bifree.series.BadNormalization
 
 
-def test_the_tower_inverse_is_the_two_bands_inverse_map():
-    # h = p(t*h) is column 0 of partial_r._inverse on the box (N, 0), so
-    # the tower's inverse direction names no _lagrange; the forward
-    # marginal still solves u = (1/h)(t*u) with it
+def test_free_convolution_is_the_two_bands_convolution_on_the_n0_box():
+    # free_convolve1 runs biconvolve's steps, _forward and _inverse, on the
+    # box (N, 0); it does not call the public biconvolve, whose benchmark
+    # span the tower workload must not run.  subordination_series takes h
+    # from it and reads each k off Lagrange-Buermann rows, so only
+    # moments_to_r still solves u = (1/h)(t*u) by the Fraction Lagrange step
     tree = ast.parse((ROOT / "src" / "bifree" / "transforms.py").read_text(encoding="utf-8"))
     names = {node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
              for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("r_to_moments", "free_convolve1", "subordination_series"):
-        assert "_lagrange" not in names[name], name
-        assert "_moments" in names[name], name
-    assert "_inverse" in names["_moments"]
-    assert "_lagrange" in names["_marginal"]
+    assert {"_forward", "_inverse"} <= names["free_convolve1"]
+    assert {"free_convolve1", "_inverse_series"} <= names["subordination_series"]
+    assert "_burmann_rows" in names["_inverse_series"]
+    for name in ("free_convolve1", "subordination_series"):
+        assert not names[name] & {"_lagrange", "_marginal"}, name
+    assert [name for name, used in names.items() if "_lagrange" in used] == ["moments_to_r"]
+    assert "_marginal" not in names
+    assert "_moments" in names["r_to_moments"]
 
 
 def test_the_test_oracles_share_no_product_loop():

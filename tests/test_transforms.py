@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bifree.partial_r import TwoBandsTable, biconvolve
 from bifree.series import NegativeOrder, Series1, _lagrange
 from bifree.transforms import (
     BadNormalization,
+    _inverse_series,
     _moments,
     free_convolve1,
     moments_to_r,
@@ -20,6 +22,7 @@ from bifree.transforms import (
 from helpers import (
     cumulant_sum_convolve1,
     fraction_lagrange,
+    picard_revert,
     reverted_moments_to_r,
     reverted_r_to_moments,
     reverted_subordination,
@@ -188,6 +191,55 @@ def test_moments_step_matches_lagrange(order, dens):
     assert all(type(x) is F for x in got)
     if order:
         assert r_to_moments(Series1(col[1:]), order) == want
+
+
+# the convolution maps against the reversion oracles, which run on
+# moments_to_r and Series1.revert and share no step with them
+
+
+DENOMINATORS = [(1,), (1, 2, 3), (2, 3, 5, 7)]
+
+
+def _moment_rows(seed, lengths, dens):
+    """Moment sequences (1, p/q, ...) with 0 < |p| <= 6 and q drawn from dens."""
+    rng = random.Random(seed)
+    return [(F(1),) + tuple(F(rng.choice([-1, 1]) * rng.randint(1, 6), rng.choice(dens))
+                            for _ in range(n)) for n in lengths]
+
+
+@pytest.mark.parametrize("dens", DENOMINATORS, ids=str)
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 10, 20, 40])
+def test_free_convolution_matches_reversion_oracle(order, dens):
+    # inputs of unequal length convolve to the shorter one's order, and the
+    # result is column 0 of biconvolve on the tables of the box (order, 0)
+    m1, m2 = _moment_rows(f"conv:{order}:{dens}", (order, order + 3), dens)
+    want = cumulant_sum_convolve1(m1, m2)
+    assert len(want) == order + 1
+    assert free_convolve1(m1, m2) == want
+    assert free_convolve1(m2, m1) == want
+    tables = (TwoBandsTable([[x] for x in m[: order + 1]]) for m in (m1, m2))
+    assert biconvolve(*tables).a_moments() == want
+
+
+@pytest.mark.parametrize("dens", DENOMINATORS, ids=str)
+@pytest.mark.parametrize("order", range(1, 21))
+def test_subordination_matches_reversion_oracle(order, dens):
+    # both inputs carry more moments than the order, by unequal amounts
+    m1, m2 = _moment_rows(f"sub:{order}:{dens}", (order + 2, order + 5), dens)
+    want = reverted_subordination(m1, m2, order)
+    assert subordination_series(m1, m2, order) == want
+    assert subordination_series(m2, m1, order) == want[::-1]
+
+
+@pytest.mark.parametrize("dens", DENOMINATORS, ids=str)
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 10, 20])
+def test_inverse_series_matches_picard_revert(order, dens):
+    # k = revert(t*h) from the Lagrange-Buermann rows on the weight scale,
+    # against Picard iteration on Fractions, to the order of h
+    (m,) = _moment_rows(f"k:{order}:{dens}", (order,), dens)
+    got = _inverse_series(m)
+    assert got == picard_revert(Series1(m).shift_up()).truncate(order)
+    assert all(type(x) is F for x in got)
 
 
 # -- subordination --
