@@ -235,8 +235,8 @@ MUTANTS = [
     # the tower's inverse step: entry n of the (N, 0) box is over c^n, and
     # the cumulant r(n) sits at entry n + 1 of the column
     ("moments-unweighted-by-c", TRANSFORMS,
-     "_unweighted(h, c)",
-     "[[Fraction(x, c) for x in row] for row in h]",
+     "len(grid) - 1, 0)\n    return tuple(row[0] for row in _unweighted(h, c))",
+     "len(grid) - 1, 0)\n    return tuple(row[0] for row in [[Fraction(x, c) for x in row] for row in h])",
      (MOMENTS_TEST,)),
     ("r-to-moments-column-offset", TRANSFORMS,
      "_moments(r.truncate(order - 1).shift_up().coeffs)",
